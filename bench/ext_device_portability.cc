@@ -72,15 +72,17 @@ main()
                      workloads::makeSpmvJdsCpuMixed(),
                      workloads::makeSpmvJdsGpuMixed()});
 
+    bool ok = true;
     for (auto &pool : pools) {
         std::cout << "running " << pool.name << "...\n";
         const PoolResult cpu = runOn(std::move(pool.cpu),
                                      workloads::cpuFactory());
         const PoolResult gpu = runOn(std::move(pool.gpu),
                                      workloads::gpuFactory());
-        if (!cpu.ok || !gpu.ok)
-            std::cerr << "WARNING: wrong result in " << pool.name
-                      << "\n";
+        if (!cpu.ok || !gpu.ok) {
+            std::cerr << "ERROR: wrong result in " << pool.name << "\n";
+            ok = false;
+        }
         table.row()
             .cell(pool.name)
             .cell(cpu.winner)
@@ -96,5 +98,5 @@ main()
                  "selections with no per-device modeling -- the "
                  "performance-portability story of the paper's "
                  "introduction.\n";
-    return 0;
+    return ok ? 0 : 1;
 }

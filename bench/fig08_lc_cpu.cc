@@ -55,11 +55,12 @@ main()
                           "Async(worst)", "LC", "Worst"});
     std::vector<std::vector<double>> columns(6);
 
+    bool ok = true;
     for (auto &row : rows) {
         std::cout << "running " << row.name << " ("
                   << row.w.variants.size() << " schedules)...\n";
         const DyselSeries s = runSeries(workloads::cpuFactory(), row.w);
-        checkSeries(row.name, s);
+        ok &= checkSeries(row.name, s);
 
         const std::size_t lc_pick =
             baselines::lcSelect(row.w.info, row.w.schedules);
@@ -86,5 +87,5 @@ main()
     table.print(std::cout);
     std::cout << "\nPaper: DySel <= 8% over oracle in the worst case; "
                  "LC mispredicts only spmv-csr(diagonal).\n";
-    return 0;
+    return ok ? 0 : 1;
 }

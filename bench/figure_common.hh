@@ -64,18 +64,28 @@ runSeries(const DeviceFactory &factory, Workload &w)
     return s;
 }
 
-/** Warn loudly if any run produced a wrong result. */
-inline void
+/**
+ * Report every run of @p s that produced a wrong result.
+ * @return true when every oracle and DySel run was correct; the
+ *         bench binaries exit nonzero otherwise.
+ */
+inline bool
 checkSeries(const std::string &name, const DyselSeries &s)
 {
+    bool ok = true;
     for (const auto &run : s.oracle.runs)
-        if (!run.ok)
-            std::cerr << "WARNING: " << name << " variant " << run.name
+        if (!run.ok) {
+            std::cerr << "ERROR: " << name << " variant " << run.name
                       << " produced a wrong result\n";
+            ok = false;
+        }
     for (const DyselRun *run : {&s.sync, &s.asyncBest, &s.asyncWorst})
-        if (!run->ok)
-            std::cerr << "WARNING: " << name
+        if (!run->ok) {
+            std::cerr << "ERROR: " << name
                       << " DySel run produced a wrong result\n";
+            ok = false;
+        }
+    return ok;
 }
 
 /** Append a GeoMean row from per-column samples. */

@@ -29,7 +29,7 @@ main()
     std::cout << "running sgemm (" << w.variants.size()
               << " schedules, CPU)...\n";
     const DyselSeries s = runSeries(workloads::cpuFactory(), w);
-    checkSeries("sgemm", s);
+    const bool ok = checkSeries("sgemm", s);
 
     support::Table table({"configuration", "relative time",
                           "overhead vs oracle", "eager chunks"});
@@ -82,5 +82,5 @@ main()
               << "Paper: the GPU often sees few or even zero eager "
                  "dispatches; sync and async are nearly identical "
                  "there.\n";
-    return 0;
+    return ok ? 0 : 1;
 }

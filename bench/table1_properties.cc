@@ -26,6 +26,7 @@ struct ModeResult
     std::uint64_t productivePortions; ///< of K profiled portions
     std::uint64_t extraCopies;        ///< output-buffer copies
     bool asyncSupported;
+    bool ok;                          ///< output matched the reference
 };
 
 ModeResult
@@ -43,10 +44,11 @@ measure(runtime::ProfilingMode mode)
     opt.orch = runtime::Orchestration::Async;
     const auto run = workloads::runDysel(workloads::cpuFactory(), w, opt);
     if (!run.ok)
-        std::cerr << "WARNING: wrong output under "
+        std::cerr << "ERROR: wrong output under "
                   << compiler::profilingModeName(mode) << "\n";
 
     ModeResult r;
+    r.ok = run.ok;
     const std::uint64_t slice = run.firstIteration.productiveUnits
                                 / (mode == runtime::ProfilingMode::Fully
                                        ? k
@@ -80,8 +82,10 @@ main()
         {runtime::ProfilingMode::Hybrid, "hybrid-based partial"},
         {runtime::ProfilingMode::Swap, "swap-based partial"},
     };
+    bool ok = true;
     for (const auto &m : modes) {
         const ModeResult r = measure(m.mode);
+        ok &= r.ok;
         table.row()
             .cell(m.name)
             .cell(r.productivePortions)
@@ -104,5 +108,5 @@ main()
               << compiler::profilingModeName(swap_run.firstIteration.mode)
               << ", result "
               << (swap_run.ok ? "correct" : "WRONG") << "\n";
-    return 0;
+    return ok && swap_run.ok ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 #include "cache.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 #include "support/math_util.hh"
 
@@ -10,8 +12,8 @@ Cache::Cache(const CacheConfig &cfg)
     : line(cfg.lineBytes), numWays(cfg.ways)
 {
     using support::isPowerOfTwo;
-    if (!isPowerOfTwo(cfg.lineBytes))
-        support::panic("cache line size must be a power of two");
+    if (!isPowerOfTwo(cfg.lineBytes) || cfg.lineBytes < 2)
+        support::panic("cache line size must be a power of two >= 2");
     if (cfg.ways == 0 || cfg.sizeBytes == 0)
         support::panic("cache needs nonzero size and ways");
     lineShift = support::floorLog2(cfg.lineBytes);
@@ -22,68 +24,37 @@ Cache::Cache(const CacheConfig &cfg)
         support::panic("cache set count must be a power of two "
                        "(size/ways/line = %llu)",
                        (unsigned long long)sets);
-    waysStore.resize(sets * numWays);
-}
-
-std::uint64_t
-Cache::setIndex(std::uint64_t addr) const
-{
-    return (addr >> lineShift) & (sets - 1);
-}
-
-std::uint64_t
-Cache::tagOf(std::uint64_t addr) const
-{
-    return addr >> lineShift;
+    tags.assign(sets * numWays, invalidTag);
 }
 
 bool
-Cache::access(std::uint64_t addr)
+Cache::promote(std::uint64_t *set, std::uint64_t tag)
 {
-    ++nAccess;
-    ++tick;
-    const std::uint64_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    Way *base = &waysStore[set * numWays];
-
-    Way *victim = base;
-    for (unsigned w = 0; w < numWays; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = tick;
-            return true;
-        }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
+    unsigned k = 1;
+    while (k < numWays && set[k] != tag)
+        ++k;
+    const bool hit = k < numWays;
+    if (!hit) {
+        ++nMiss;
+        k = numWays - 1; // evict the tail: an empty way or the LRU line
     }
-
-    ++nMiss;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = tick;
-    return false;
+    std::copy_backward(set, set + k, set + k + 1);
+    set[0] = tag;
+    return hit;
 }
 
 bool
 Cache::contains(std::uint64_t addr) const
 {
-    const std::uint64_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    const Way *base = &waysStore[set * numWays];
-    for (unsigned w = 0; w < numWays; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
+    const std::uint64_t tag = addr >> lineShift;
+    const std::uint64_t *set = setOf(tag);
+    return std::find(set, set + numWays, tag) != set + numWays;
 }
 
 void
 Cache::flush()
 {
-    for (auto &w : waysStore)
-        w = Way{};
+    std::fill(tags.begin(), tags.end(), invalidTag);
 }
 
 void

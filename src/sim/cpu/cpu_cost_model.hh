@@ -19,11 +19,13 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "kdp/kernel.hh"
 #include "kdp/trace.hh"
 
 #include "sim/cache/cache.hh"
+#include "sim/op_index.hh"
 
 namespace dysel {
 namespace sim {
@@ -65,11 +67,16 @@ struct CpuCostParams
     double scratchLowerExtra = 2.0;
 };
 
-/** Per-core private cache state, persistent across work-groups. */
+/**
+ * Per-core private cache state, persistent across work-groups, plus
+ * the replay buffers the core's cost model reuses.
+ */
 struct CpuCoreState
 {
     Cache l1;
     Cache l2;
+    OpIndex ops;                      ///< SIMD op index of one replay
+    std::vector<std::uint64_t> addrs; ///< addresses of one SIMD op
 
     CpuCoreState(const CacheConfig &l1_cfg, const CacheConfig &l2_cfg)
         : l1(l1_cfg), l2(l2_cfg)

@@ -1,36 +1,10 @@
 #include "gpu_cost_model.hh"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace dysel {
 namespace sim {
-
-namespace {
-
-struct OpKey
-{
-    std::uint32_t warp;
-    std::uint32_t seq;
-
-    bool operator==(const OpKey &o) const
-    {
-        return warp == o.warp && seq == o.seq;
-    }
-};
-
-struct OpKeyHash
-{
-    std::size_t
-    operator()(const OpKey &k) const
-    {
-        return (static_cast<std::size_t>(k.warp) << 32) ^ k.seq;
-    }
-};
-
-} // namespace
 
 GpuWgCost
 gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
@@ -39,41 +13,44 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
 {
     const unsigned w = p.warpSize;
     const unsigned num_warps = (groupSize + w - 1) / w;
+    OpIndex &ops = sm.ops;
+    std::vector<std::uint64_t> &segs = sm.segs;
+    std::vector<double> &warp_thruput = sm.warpThruput;
+    std::vector<double> &warp_latency = sm.warpLatency;
+    warp_thruput.assign(num_warps, 0.0);
+    warp_latency.assign(num_warps, 0.0);
 
-    // Bucket the accesses into warp instructions.
-    std::unordered_map<OpKey, std::vector<std::uint32_t>, OpKeyHash> ops;
-    ops.reserve(trace.accesses.size() / w + 1);
+    // Walk warp instructions in first-touch order for the caches.
+    ops.build(trace.accesses, w);
     for (std::uint32_t i = 0; i < trace.accesses.size(); ++i) {
-        const auto &a = trace.accesses[i];
-        ops[{a.lane / w, a.seq}].push_back(i);
-    }
-
-    std::vector<double> warp_thruput(num_warps, 0.0);
-    std::vector<double> warp_latency(num_warps, 0.0);
-
-    // Walk instructions in first-touch order for the caches.
-    std::vector<bool> emitted(trace.accesses.size(), false);
-    std::vector<std::uint64_t> segs;
-    for (std::uint32_t i = 0; i < trace.accesses.size(); ++i) {
-        if (emitted[i])
+        if (!ops.opens(i))
             continue;
         const auto &first = trace.accesses[i];
         const unsigned warp = first.lane / w;
-        const auto &members = ops[{warp, first.seq}];
+        const std::uint32_t op = ops.slot(i);
+
+        // The sorted distinct keys of the op's members.  A repeat of
+        // the previous member's key is skipped on the way in; unique
+        // would drop it anyway.
+        auto distinctKeys = [&](auto key) {
+            segs.clear();
+            for (const std::uint32_t *m = ops.begin(op); m != ops.end(op);
+                 ++m) {
+                const std::uint64_t k = key(trace.accesses[*m]);
+                if (segs.empty() || segs.back() != k)
+                    segs.push_back(k);
+            }
+            std::sort(segs.begin(), segs.end());
+            segs.erase(std::unique(segs.begin(), segs.end()), segs.end());
+        };
 
         double thruput = p.issueOp;
         double latency = 0.0;
         switch (first.space) {
           case kdp::MemSpace::Global: {
-            segs.clear();
-            bool any_atomic = false;
-            for (std::uint32_t m : members) {
-                emitted[m] = true;
-                segs.push_back(trace.accesses[m].addr / p.segmentBytes);
-                any_atomic |= trace.accesses[m].atomic;
-            }
-            std::sort(segs.begin(), segs.end());
-            segs.erase(std::unique(segs.begin(), segs.end()), segs.end());
+            distinctKeys([&](const kdp::MemAccess &a) {
+                return a.addr / p.segmentBytes;
+            });
             bool all_hit = true;
             for (std::uint64_t s : segs) {
                 const bool hit = l2.access(s * p.segmentBytes);
@@ -81,19 +58,16 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
                 thruput += hit ? p.txHitCost : p.txCost;
             }
             latency += all_hit ? p.l2HitLatency : p.memLatency;
+            const bool any_atomic =
+                std::any_of(ops.begin(op), ops.end(op), [&](std::uint32_t m) {
+                    return trace.accesses[m].atomic;
+                });
             if (any_atomic)
-                thruput += p.atomicPerLane
-                           * static_cast<double>(members.size());
+                thruput += p.atomicPerLane * static_cast<double>(ops.size(op));
             break;
           }
           case kdp::MemSpace::Texture: {
-            segs.clear();
-            for (std::uint32_t m : members) {
-                emitted[m] = true;
-                segs.push_back(trace.accesses[m].addr / 32);
-            }
-            std::sort(segs.begin(), segs.end());
-            segs.erase(std::unique(segs.begin(), segs.end()), segs.end());
+            distinctKeys([](const kdp::MemAccess &a) { return a.addr / 32; });
             bool all_hit = true;
             for (std::uint64_t s : segs) {
                 const bool hit = sm.texCache.access(s * 32);
@@ -108,30 +82,21 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
           }
           case kdp::MemSpace::Scratchpad: {
             // Bank conflicts: 32 four-byte banks; the op serializes
-            // into as many rounds as the most contended bank.
-            std::unordered_map<unsigned, unsigned> bank_count;
-            std::unordered_set<std::uint64_t> distinct;
-            for (std::uint32_t m : members) {
-                emitted[m] = true;
-                const std::uint64_t addr = trace.accesses[m].addr;
-                if (distinct.insert(addr).second)
-                    ++bank_count[(addr / 4) % 32];
-            }
+            // into as many rounds as the most contended bank holds
+            // distinct addresses.
+            distinctKeys([](const kdp::MemAccess &a) { return a.addr; });
+            unsigned bank_count[32] = {};
             unsigned worst = 1;
-            for (const auto &[bank, cnt] : bank_count)
-                worst = std::max(worst, cnt);
+            for (std::uint64_t addr : segs)
+                worst = std::max(worst, ++bank_count[(addr / 4) % 32]);
             thruput += p.scratchAccess
                        + static_cast<double>(worst - 1)
                              * p.bankConflictExtra;
             break;
           }
           case kdp::MemSpace::Constant: {
-            std::unordered_set<std::uint64_t> distinct;
-            for (std::uint32_t m : members) {
-                emitted[m] = true;
-                distinct.insert(trace.accesses[m].addr);
-            }
-            thruput += p.constCost * static_cast<double>(distinct.size());
+            distinctKeys([](const kdp::MemAccess &a) { return a.addr; });
+            thruput += p.constCost * static_cast<double>(segs.size());
             break;
           }
         }
@@ -140,15 +105,12 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
     }
 
     // Divergent branches serialize both sides.
-    std::unordered_map<OpKey, std::pair<bool, bool>, OpKeyHash> branch;
-    branch.reserve(trace.branches.size() / w + 1);
-    for (const auto &b : trace.branches) {
-        auto &[saw_taken, saw_not] = branch[{b.lane / w, b.seq}];
-        (b.taken ? saw_taken : saw_not) = true;
-    }
-    for (const auto &[key, outcome] : branch)
-        if (outcome.first && outcome.second)
-            warp_thruput[key.warp] += p.divergentBranch;
+    ops.build(trace.branches, w);
+    for (std::uint32_t warp = 0; warp < ops.groups(); ++warp)
+        for (std::uint32_t op = ops.groupBegin(warp); op < ops.groupEnd(warp);
+             ++op)
+            if (ops.divergent(trace.branches, op))
+                warp_thruput[warp] += p.divergentBranch;
 
     // Lock-step ALU: a warp is as slow as its busiest lane.
     for (unsigned warp = 0; warp < num_warps; ++warp) {

@@ -19,11 +19,13 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "kdp/kernel.hh"
 #include "kdp/trace.hh"
 
 #include "sim/cache/cache.hh"
+#include "sim/op_index.hh"
 
 namespace dysel {
 namespace sim {
@@ -59,10 +61,14 @@ struct GpuCostParams
     double mlpFactor = 16.0;
 };
 
-/** Per-SM mutable model state. */
+/** Per-SM mutable model state plus the replay buffers it reuses. */
 struct GpuSmState
 {
     Cache texCache;
+    OpIndex ops;                         ///< warp op index of one replay
+    std::vector<std::uint64_t> segs;     ///< distinct keys of one warp op
+    std::vector<double> warpThruput;     ///< per-warp throughput cycles
+    std::vector<double> warpLatency;     ///< per-warp latency cycles
 
     explicit GpuSmState(const CacheConfig &tex_cfg) : texCache(tex_cfg) {}
 };

@@ -1,10 +1,16 @@
 /**
  * @file
- * Unit and property tests for the set-associative cache model.
+ * Unit, property and differential tests for the set-associative cache
+ * model.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include "sim/cache/cache.hh"
+#include "support/rng.hh"
 
 using namespace dysel::sim;
 
@@ -116,3 +122,191 @@ TEST(CacheDeath, RejectsNonPowerOfTwoLine)
 {
     EXPECT_DEATH(Cache({1024, 2, 48}), "");
 }
+
+TEST(CacheDeath, RejectsOneByteLine)
+{
+    // With 1-byte lines a tag is the whole address, so address ~0 would
+    // collide with the empty-way sentinel; every line of >= 2 bytes
+    // shifts at least one bit out, which keeps tags below it.
+    EXPECT_DEATH(Cache({1024, 2, 1}), "");
+}
+
+namespace {
+
+/**
+ * Reference model: the timestamp LRU the cache used before its
+ * MRU-ordered tag array.  Each way carries a valid bit and the tick of
+ * its last use; a miss fills an invalid way if one exists, else the way
+ * with the oldest tick.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &cfg)
+        : lineShift(0), numWays(cfg.ways)
+    {
+        while ((1u << lineShift) < cfg.lineBytes)
+            ++lineShift;
+        sets = cfg.sizeBytes / (std::uint64_t{cfg.ways} * cfg.lineBytes);
+        if (sets == 0)
+            sets = 1;
+        ways.resize(sets * numWays);
+    }
+
+    bool
+    access(std::uint64_t addr)
+    {
+        ++nAccess;
+        ++tick;
+        const std::uint64_t tag = addr >> lineShift;
+        Way *base = &ways[(tag & (sets - 1)) * numWays];
+        Way *victim = base;
+        for (unsigned w = 0; w < numWays; ++w) {
+            Way &way = base[w];
+            if (way.valid && way.tag == tag) {
+                way.lastUse = tick;
+                return true;
+            }
+            if (!way.valid)
+                victim = &way;
+            else if (victim->valid && way.lastUse < victim->lastUse)
+                victim = &way;
+        }
+        ++nMiss;
+        *victim = {tag, tick, true};
+        return false;
+    }
+
+    bool
+    contains(std::uint64_t addr) const
+    {
+        const std::uint64_t tag = addr >> lineShift;
+        const Way *base = &ways[(tag & (sets - 1)) * numWays];
+        for (unsigned w = 0; w < numWays; ++w)
+            if (base[w].valid && base[w].tag == tag)
+                return true;
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (Way &w : ways)
+            w = Way{};
+    }
+
+    void
+    resetStats()
+    {
+        nAccess = 0;
+        nMiss = 0;
+    }
+
+    std::uint64_t accesses() const { return nAccess; }
+    std::uint64_t misses() const { return nMiss; }
+
+  private:
+    struct Way
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    unsigned lineShift;
+    unsigned numWays;
+    std::uint64_t sets;
+    std::vector<Way> ways;
+    std::uint64_t tick = 0;
+    std::uint64_t nAccess = 0;
+    std::uint64_t nMiss = 0;
+};
+
+/** A seeded address stream mixing reuse, streaming, set conflicts and
+ *  the top of the address space. */
+class AddressStream
+{
+  public:
+    AddressStream(const CacheConfig &cfg, std::uint64_t seed)
+        : rng(seed), cfg(cfg)
+    {}
+
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t span = cfg.sizeBytes;
+        switch (rng.nextBelow(5)) {
+          case 0: // hot set, fits in the cache
+            return 0x100000 + rng.nextBelow(span / 2);
+          case 1: // four times the capacity
+            return 0x100000 + rng.nextBelow(4 * span);
+          case 2: // sequential stream
+            cursor += 4 + 4 * rng.nextBelow(16);
+            return 0x40000000 + cursor;
+          case 3: { // more lines than ways mapping to one set
+            const std::uint64_t setBytes = span / cfg.ways;
+            return 0x80000000 + rng.nextBelow(2 * cfg.ways) * setBytes
+                   + rng.nextBelow(cfg.lineBytes);
+          }
+          default: // the last lines below address ~0
+            return ~std::uint64_t{0} - rng.nextBelow(8 * cfg.lineBytes);
+        }
+    }
+
+  private:
+    dysel::support::Rng rng;
+    CacheConfig cfg;
+    std::uint64_t cursor = 0;
+};
+
+} // namespace
+
+/** Differential sweep: the cache against the timestamp-LRU reference. */
+class CacheDifferential : public ::testing::TestWithParam<CacheConfig>
+{
+};
+
+TEST_P(CacheDifferential, MatchesTimestampLru)
+{
+    const CacheConfig cfg = GetParam();
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Cache c(cfg);
+        ReferenceCache ref(cfg);
+        AddressStream stream(cfg, seed);
+        dysel::support::Rng ops(seed * 7919);
+        for (int i = 0; i < 100000; ++i) {
+            const std::uint64_t addr = stream.next();
+            const std::uint64_t op = ops.nextBelow(1000);
+            if (op < 900) {
+                ASSERT_EQ(c.access(addr), ref.access(addr))
+                    << "seed " << seed << " step " << i << " addr " << addr;
+            } else if (op < 995) {
+                ASSERT_EQ(c.contains(addr), ref.contains(addr))
+                    << "seed " << seed << " step " << i << " addr " << addr;
+            } else if (op < 998) {
+                ASSERT_EQ(c.accesses(), ref.accesses());
+                ASSERT_EQ(c.misses(), ref.misses());
+                c.resetStats();
+                ref.resetStats();
+            } else {
+                c.flush();
+                ref.flush();
+                ASSERT_FALSE(c.contains(addr));
+            }
+        }
+        EXPECT_EQ(c.accesses(), ref.accesses());
+        EXPECT_EQ(c.misses(), ref.misses());
+        EXPECT_GT(c.misses(), 0u);
+        EXPECT_LT(c.misses(), c.accesses());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Values(CacheConfig{32 * 1024, 8, 64},         // CPU L1
+                      CacheConfig{256 * 1024, 8, 64},        // CPU L2
+                      CacheConfig{10 * 1024 * 1024, 20, 64}, // CPU L3
+                      CacheConfig{1536 * 1024, 12, 128},     // GPU L2
+                      CacheConfig{12 * 1024, 24, 32},        // GPU texture
+                      CacheConfig{4096, 1, 64},              // direct mapped
+                      CacheConfig{2048, 32, 64}));           // one set
