@@ -36,7 +36,6 @@ main()
         Workload w = workloads::makeStencilMixed();
         runtime::LaunchOptions opt;
         opt.mode = mode;
-        opt.modeExplicit = true;
         opt.orch = runtime::Orchestration::Sync;
         const auto run =
             workloads::runDysel(workloads::cpuFactory(), w, opt);
@@ -65,7 +64,6 @@ main()
         w.iterations = 1;
         runtime::LaunchOptions opt;
         opt.mode = mode;
-        opt.modeExplicit = true;
         const auto run =
             workloads::runDysel(workloads::cpuFactory(), w, opt);
         hist_table.row()

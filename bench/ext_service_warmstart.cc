@@ -61,15 +61,15 @@ runPhase(store::SelectionStore &store)
     std::vector<serve::JobHandle> handles;
     handles.reserve(mix.size());
     for (auto &w : mix) {
-        serve::Job job;
-        job.signature = w.signature;
-        job.units = w.units;
-        job.args = w.args;
-        job.ensureRegistered = [&w](runtime::Runtime &rt) {
+        serve::JobSpec spec;
+        spec.signature(w.signature).units(w.units).args(w.args);
+        spec.ensureRegistered([&w](runtime::Runtime &rt) {
             rt.removeKernel(w.signature);
             w.registerWith(rt);
-        };
-        handles.push_back(svc.submit(std::move(job)));
+        });
+        // One job per call: each is routed after the previous one
+        // entered its device's load count.
+        handles.push_back(svc.submitMany({&spec, 1})[0]);
     }
     PhaseStats stats;
     for (const auto &h : handles) {

@@ -40,7 +40,6 @@ measure(runtime::ProfilingMode mode)
 
     runtime::LaunchOptions opt;
     opt.mode = mode;
-    opt.modeExplicit = true;
     opt.orch = runtime::Orchestration::Async;
     const auto run = workloads::runDysel(workloads::cpuFactory(), w, opt);
     if (!run.ok)

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "compiler/analysis.hh"
 
@@ -35,9 +36,11 @@ struct LaunchOptions
     /** Profiling activation flag. */
     bool profiling = true;
 
-    /** Override the compiler's recommended profiling mode. */
-    ProfilingMode mode = ProfilingMode::Fully;
-    bool modeExplicit = false;
+    /**
+     * Override the compiler's recommended profiling mode; unset uses
+     * the recommendation (Fully for a kernel without KernelInfo).
+     */
+    std::optional<ProfilingMode> mode;
 
     /** Orchestration of profiling vs. bulk execution. */
     Orchestration orch = Orchestration::Async;

@@ -99,6 +99,19 @@ Runtime::findKernelInfo(const std::string &signature) const noexcept
     return entry && entry->hasInfo ? &entry->info : nullptr;
 }
 
+int
+Runtime::findVariantIndex(const std::string &signature,
+                          const std::string &name) const noexcept
+{
+    const KernelEntry *entry = findEntry(signature);
+    if (!entry)
+        return -1;
+    for (std::size_t i = 0; i < entry->variants.size(); ++i)
+        if (entry->variants[i].name == name)
+            return static_cast<int>(i);
+    return -1;
+}
+
 const Runtime::KernelEntry *
 Runtime::findEntry(const std::string &signature) const noexcept
 {
@@ -161,9 +174,7 @@ Runtime::tryImportSelection(const std::string &signature, int variant)
         return support::Status::invalidArgument(
             "DySel: imported selection " + std::to_string(variant)
             + " out of range for '" + signature + "'");
-    if (guard_.enabled()
-        && guard_.isBlacklisted(signature,
-                                entry->variants[variant].name))
+    if (!usable(signature, entry->variants[variant]))
         return support::Status::failedPrecondition(
             "DySel: variant '" + entry->variants[variant].name
             + "' is blacklisted for '" + signature + "'");
@@ -206,12 +217,32 @@ Runtime::finish(LaunchReport report)
     return report;
 }
 
+bool
+Runtime::usable(const std::string &signature,
+                const kdp::KernelVariant &v) const
+{
+    return !guard_.enabled() || !guard_.isBlacklisted(signature, v.name);
+}
+
+int
+Runtime::resolveVariant(const std::string &signature,
+                        const KernelEntry &entry, int want) const
+{
+    const int n = static_cast<int>(entry.variants.size());
+    if (want >= 0 && want < n && usable(signature, entry.variants[want]))
+        return want;
+    for (int i = 0; i < n; ++i)
+        if (usable(signature, entry.variants[i]))
+            return i;
+    return -1;
+}
+
 ProfilingMode
 Runtime::resolveMode(const KernelEntry &entry,
                      const LaunchOptions &opt) const
 {
-    if (opt.modeExplicit)
-        return opt.mode;
+    if (opt.mode)
+        return *opt.mode;
     if (entry.hasInfo)
         return compiler::recommendProfilingMode(entry.info);
     return ProfilingMode::Fully;
@@ -255,39 +286,54 @@ Runtime::submitBatch(const kdp::KernelVariant &variant,
     dev.submit(std::move(launch));
 }
 
+template <typename Submit, typename Trace>
+support::Status
+Runtime::runSingle(const std::string &signature, const KernelEntry &entry,
+                   int variant, std::uint64_t total_units,
+                   const LaunchOptions &opt, LaunchReport &report,
+                   Submit &&submit, Trace &&trace, LaunchReport &out)
+{
+    report.signature = signature;
+    report.selected = variant;
+    report.selectedName = entry.variants[variant].name;
+    report.orch = opt.orch;
+    report.totalUnits = total_units;
+    report.startTime = dev.now();
+    activeCorrelation = opt.correlationId;
+
+    submit();
+    dev.run();
+    if (auto fault = consumeDeviceFault(); !fault.ok())
+        return fault;
+    report.endTime = dev.now();
+    if (tracing())
+        trace(report);
+    out = finish(std::move(report));
+    return support::Status();
+}
+
 support::Status
 Runtime::runPlain(const std::string &signature, const KernelEntry &entry,
                   int variant, std::uint64_t total_units,
                   const kdp::KernelArgs &args, const LaunchOptions &opt,
                   bool from_cache, LaunchReport &out)
 {
+    const kdp::KernelVariant &v = entry.variants[variant];
     LaunchReport report;
-    report.signature = signature;
-    report.selected = variant;
-    report.selectedName = entry.variants[variant].name;
     report.fromCache = from_cache;
     report.shadow = opt.shadow;
-    report.orch = opt.orch;
-    report.totalUnits = total_units;
-    report.startTime = dev.now();
-    activeCorrelation = opt.correlationId;
-
-    submitBatch(entry.variants[variant], args, 0, total_units, 0, 0,
-                nullptr);
-    dev.run();
-    if (auto fault = consumeDeviceFault(); !fault.ok())
-        return fault;
-    report.endTime = dev.now();
-    if (tracing()) {
-        tracer_->complete(
-            traceTrack, "execute", report.startTime, report.endTime,
-            opt.correlationId,
-            {{"variant", report.selectedName},
-             {"units", std::to_string(total_units)},
-             {"cached", from_cache ? "yes" : "no"}});
-    }
-    out = finish(std::move(report));
-    return support::Status();
+    return runSingle(
+        signature, entry, variant, total_units, opt, report,
+        [&] { submitBatch(v, args, 0, total_units, 0, 0, nullptr); },
+        [&](const LaunchReport &r) {
+            tracer_->complete(
+                traceTrack, "execute", r.startTime, r.endTime,
+                opt.correlationId,
+                {{"variant", r.selectedName},
+                 {"units", std::to_string(total_units)},
+                 {"cached", from_cache ? "yes" : "no"}});
+        },
+        out);
 }
 
 support::Status
@@ -319,21 +365,11 @@ Runtime::launchFused(const std::string &signature, int variant,
         return support::Status::invalidArgument(
             "DySelLaunchFused(" + signature + "): variant "
             + std::to_string(want) + " out of range");
-    if (guard_.enabled()
-        && guard_.isBlacklisted(signature, entry.variants[want].name)) {
-        int fallback = -1;
-        for (std::size_t i = 0; i < entry.variants.size(); ++i) {
-            if (!guard_.isBlacklisted(signature, entry.variants[i].name)) {
-                fallback = static_cast<int>(i);
-                break;
-            }
-        }
-        if (fallback < 0)
-            return support::Status::failedPrecondition(
-                "DySelLaunchFused(" + signature
-                + "): every variant is blacklisted");
-        want = fallback;
-    }
+    want = resolveVariant(signature, entry, want);
+    if (want < 0)
+        return support::Status::failedPrecondition(
+            "DySelLaunchFused(" + signature
+            + "): every variant is blacklisted");
     const kdp::KernelVariant &real = entry.variants[want];
 
     // Member m occupies fused groups [fusedStarts[m], fusedStarts[m+1]).
@@ -395,59 +431,49 @@ Runtime::launchFused(const std::string &signature, int variant,
     };
 
     LaunchReport report;
-    report.signature = signature;
-    report.selected = want;
-    report.selectedName = real.name;
     report.fromCache = variant >= 0;
     report.fused = true;
-    report.fusedJobs = slices.size();
-    report.orch = opt.orch;
-    report.totalUnits = total_units;
-    report.startTime = dev.now();
-    activeCorrelation = opt.correlationId;
-
-    sim::Launch launch;
-    launch.variant = &wrapper;
-    launch.firstGroup = 0;
-    launch.numGroups = physGroups;
-    if (config.verbose)
-        support::inform("launchFused t=%llu variant=%s jobs=%zu "
-                        "units=%llu groups=%llu pack=%llu",
-                        (unsigned long long)dev.now(), real.name.c_str(),
-                        nmem, (unsigned long long)total_units,
-                        (unsigned long long)physGroups,
-                        (unsigned long long)pack);
-    if (tracing()) {
-        tracer_->instant(
-            traceTrack, "device.submit", dev.now(), activeCorrelation,
-            {{"variant", real.name},
-             {"units", std::to_string(total_units)},
-             {"groups", std::to_string(physGroups)},
-             {"pack", std::to_string(pack)},
-             {"fused_jobs", std::to_string(nmem)}});
-    }
-    dev.submit(std::move(launch));
-    dev.run();
-    if (auto fault = consumeDeviceFault(); !fault.ok())
-        return fault;
-    report.endTime = dev.now();
-    if (tracing()) {
-        for (std::size_t m = 0; m < nmem; ++m) {
+    report.fusedJobs = nmem;
+    auto submit = [&] {
+        sim::Launch launch;
+        launch.variant = &wrapper;
+        launch.firstGroup = 0;
+        launch.numGroups = physGroups;
+        if (config.verbose)
+            support::inform("launchFused t=%llu variant=%s jobs=%zu "
+                            "units=%llu groups=%llu pack=%llu",
+                            (unsigned long long)dev.now(),
+                            real.name.c_str(), nmem,
+                            (unsigned long long)total_units,
+                            (unsigned long long)physGroups,
+                            (unsigned long long)pack);
+        if (tracing()) {
             tracer_->instant(
-                traceTrack, "batch.slice", report.endTime,
-                mem[m].correlationId,
+                traceTrack, "device.submit", dev.now(), activeCorrelation,
                 {{"variant", real.name},
-                 {"units", std::to_string(mem[m].units)}});
+                 {"units", std::to_string(total_units)},
+                 {"groups", std::to_string(physGroups)},
+                 {"pack", std::to_string(pack)},
+                 {"fused_jobs", std::to_string(nmem)}});
+        }
+        dev.submit(std::move(launch));
+    };
+    auto trace = [&](const LaunchReport &r) {
+        for (std::size_t m = 0; m < nmem; ++m) {
+            tracer_->instant(traceTrack, "batch.slice", r.endTime,
+                             mem[m].correlationId,
+                             {{"variant", real.name},
+                              {"units", std::to_string(mem[m].units)}});
         }
         tracer_->complete(
-            traceTrack, "execute.fused", report.startTime, report.endTime,
+            traceTrack, "execute.fused", r.startTime, r.endTime,
             opt.correlationId,
             {{"variant", real.name},
              {"jobs", std::to_string(nmem)},
              {"units", std::to_string(total_units)}});
-    }
-    out = finish(std::move(report));
-    return support::Status();
+    };
+    return runSingle(signature, entry, want, total_units, opt, report,
+                     submit, trace, out);
 }
 
 LaunchReport
@@ -458,6 +484,299 @@ Runtime::launchKernel(const std::string &signature,
     LaunchReport report;
     launch(signature, total_units, args, opt, report).throwIfError();
     return report;
+}
+
+/**
+ * The state and device callbacks of one profiled launch (paper §2.2-2.4,
+ * Fig. 4): micro-profile the active variants on safe-point slices,
+ * validate them, select one, then run the rest.  It lives on launch()'s
+ * stack and every device callback holds a plain pointer to it.  That is
+ * safe because dev.run() drains every event before launch() returns,
+ * and a failed or hung device launch drops its callbacks unrun.
+ */
+struct Runtime::ProfilingPass
+{
+    ProfilingPass(Runtime &r, const std::string &sig, const KernelEntry &e,
+                  const kdp::KernelArgs &a, const std::vector<std::size_t> &ac,
+                  ProfilingMode m, std::uint64_t total, std::uint64_t sl,
+                  unsigned reps, bool onGpu)
+        : rt(r), signature(sig), entry(e), args(a), act(ac), mode(m),
+          totalUnits(total), slice(sl), repeats(reps), gpu(onGpu),
+          slots(ac.size()), profiles(ac.size()),
+          outstanding(static_cast<unsigned>(ac.size()) * reps)
+    {
+        for (std::size_t j = 0; j < act.size(); ++j)
+            profiles[j].name = entry.variants[act[j]].name;
+    }
+    // Device callbacks hold the pass's address.
+    ProfilingPass(const ProfilingPass &) = delete;
+    ProfilingPass &operator=(const ProfilingPass &) = delete;
+
+    /** Profiling state of active variant j (registered index act[j]). */
+    struct Slot
+    {
+        /// (arg index, private clone) pairs: the guard checks them and
+        /// the winner's are swapped into place.
+        std::vector<std::pair<std::size_t, kdp::BufferBase *>> clones;
+        std::uint64_t track = 0; ///< trace subtrack of its passes
+        /// With repeats, the first execution is a cache warmup and the
+        /// steady-state repeats are averaged -- which is what makes
+        /// extra executions recover selection accuracy under
+        /// measurement noise (§5.2).
+        sim::TimeNs metric = std::numeric_limits<sim::TimeNs>::max();
+        double metricSum = 0;
+        unsigned metricCount = 0;
+        unsigned completions = 0;
+        bool failed = false;
+        const char *outcome = "pass";
+    };
+
+    /** Profiling slice @p j, repeat @p r completed on the device. */
+    void sliceDone(unsigned j, unsigned r, const sim::LaunchStats &stats);
+    /** Record a guard strike against active variant @p j. */
+    void strike(std::size_t j, guard::CheckKind ck);
+    /** Guard self checks and cross-check of the sandboxed outputs. */
+    void validate();
+    /** Validate, select, swap, repair, and launch the remainder. */
+    void finishProfiling();
+    /** Async orchestration: submit the eager chunk (Fig. 4b). */
+    void pump();
+
+    Runtime &rt;
+    const std::string &signature;
+    const KernelEntry &entry;
+    const kdp::KernelArgs &args;
+    const std::vector<std::size_t> &act;
+    const ProfilingMode mode;
+    const std::uint64_t totalUnits;
+    const std::uint64_t slice;
+    const unsigned repeats;
+    const bool gpu;
+
+    std::vector<Slot> slots;
+    std::vector<VariantProfile> profiles;
+    unsigned outstanding; ///< profiling slices still running
+    std::vector<GuardEvent> guardEvents;
+    /// The Fig. 7 in-kernel timer (GPU path).
+    std::optional<GpuTimer> timer;
+    int bestSoFar = 0;
+    sim::TimeNs bestMetric = std::numeric_limits<sim::TimeNs>::max();
+    bool profilingDone = false;
+    bool allFailed = false;
+    int selected = -1;
+    std::uint64_t repairs = 0;
+    std::uint64_t chunk = 0; ///< eager chunk units (async only)
+    std::uint64_t nextUnit = 0;
+    bool batchSubmitted = false;
+    std::uint64_t eagerChunks = 0;
+    sim::TimeNs remainderStart = 0;
+};
+
+void
+Runtime::ProfilingPass::sliceDone(unsigned j, unsigned r,
+                                  const sim::LaunchStats &stats)
+{
+    Slot &sl = slots[j];
+    const sim::TimeNs m = gpu ? stats.span() : stats.busyTime;
+    sl.completions++;
+    if (repeats == 1 || r > 0) {
+        sl.metricSum += static_cast<double>(m);
+        sl.metricCount++;
+        sl.metric = static_cast<sim::TimeNs>(sl.metricSum / sl.metricCount);
+    }
+    VariantProfile &prof = profiles[j];
+    if (r == 0) {
+        prof.span = stats.span();
+        prof.busy = stats.busyTime;
+        prof.units = slice;
+        prof.startTime = stats.firstStamp;
+        prof.endTime = stats.lastStamp;
+    }
+    if (rt.tracing()) {
+        rt.tracer_->complete(sl.track, "profile:" + prof.name,
+                             stats.firstStamp, stats.lastStamp,
+                             rt.activeCorrelation,
+                             {{"variant", prof.name},
+                              {"repeat", std::to_string(r)},
+                              {"units", std::to_string(slice)},
+                              {"metric", std::to_string(m)}});
+    }
+    prof.metric = sl.metric;
+    if (sl.metric < bestMetric) {
+        bestMetric = sl.metric;
+        bestSoFar = static_cast<int>(j);
+    }
+    if (--outstanding == 0)
+        finishProfiling();
+}
+
+void
+Runtime::ProfilingPass::strike(std::size_t j, guard::CheckKind ck)
+{
+    const std::string &name = entry.variants[act[j]].name;
+    slots[j].failed = true;
+    slots[j].outcome = guard::checkKindName(ck);
+    rt.guard_.strike(signature, name, ck);
+    guardEvents.push_back({name, guard::checkKindName(ck)});
+    if (rt.tracing()) {
+        rt.tracer_->instant(rt.traceTrack, "guard.strike", rt.dev.now(),
+                            rt.activeCorrelation,
+                            {{"variant", name},
+                             {"check", guard::checkKindName(ck)}});
+    }
+}
+
+void
+Runtime::ProfilingPass::validate()
+{
+    const std::size_t n = slots.size();
+    // Self checks on each variant's private clones (in hybrid mode
+    // variant 0 has none; only the watchdog covers it).  At most one
+    // strike per variant per pass, in check order: redzone, NaN,
+    // mismatch.
+    for (std::size_t j = 0; j < n; ++j) {
+        if (slots[j].failed)
+            continue;
+        bool bad_rz = false;
+        bool bad_nan = false;
+        for (const auto &[idx, clone] : slots[j].clones) {
+            (void)idx;
+            if (!guard::VariantGuard::redzoneIntact(*clone))
+                bad_rz = true;
+            else if (guard::VariantGuard::hasNanOrInf(*clone))
+                bad_nan = true;
+        }
+        if (bad_rz)
+            strike(j, guard::CheckKind::Redzone);
+        else if (bad_nan)
+            strike(j, guard::CheckKind::NanInf);
+    }
+    // Cross-check everyone against the reference: the first variant
+    // that passed its self checks.  (A corrupt reference with
+    // plausible values defeats this -- a documented reference-trust
+    // limitation.)
+    std::size_t ref = 0;
+    while (ref < n && slots[ref].failed)
+        ++ref;
+    for (std::size_t j = 0; ref < n && j < n; ++j) {
+        if (j == ref || slots[j].failed)
+            continue;
+        bool match = true;
+        for (const auto &[idx, clone] : slots[j].clones) {
+            // The reference output for this arg: its own clone, or the
+            // real buffer (hybrid ref 0).
+            const kdp::BufferBase *refbuf = &args.bufBase(idx);
+            for (const auto &[ridx, rclone] : slots[ref].clones)
+                if (ridx == idx)
+                    refbuf = rclone;
+            if (!rt.guard_.outputsMatch(*refbuf, *clone)) {
+                match = false;
+                break;
+            }
+        }
+        if (!match)
+            strike(j, guard::CheckKind::Mismatch);
+    }
+    for (std::size_t j = 0; j < n; ++j)
+        if (!slots[j].failed)
+            rt.guard_.pass(signature, entry.variants[act[j]].name);
+}
+
+void
+Runtime::ProfilingPass::finishProfiling()
+{
+    profilingDone = true;
+    const std::size_t n = slots.size();
+    const bool guarded = rt.guard_.enabled();
+
+    if (guarded && mode != ProfilingMode::Fully)
+        validate();
+
+    // Select the fastest variant that survived validation.
+    std::size_t best = n;
+    for (std::size_t j = 0; j < n; ++j) {
+        if (slots[j].failed)
+            continue;
+        if (best == n || slots[j].metric < slots[best].metric)
+            best = j;
+    }
+    if (best == n) {
+        // Every variant failed validation: there is no trustworthy
+        // implementation to run the remainder with.
+        allFailed = true;
+        selected = -1;
+        return;
+    }
+    selected = static_cast<int>(act[best]);
+    rt.selectionCache[signature] = selected;
+
+    if (mode == ProfilingMode::Swap) {
+        // Swap the winner's private outputs into place; the losers'
+        // copies are discarded.  On real hardware this is a pointer
+        // swap, so no virtual time is charged.  Guarded clones are
+        // redzone-padded, so only the data prefix is copied.
+        for (const auto &[idx, clone] : slots[best].clones) {
+            if (guarded)
+                guard::VariantGuard::copyData(args.bufBase(idx), *clone);
+            else
+                args.bufBase(idx).copyFrom(*clone);
+        }
+    }
+
+    if (guarded) {
+        // Repair productive slices whose producer failed, so profiling
+        // stays productive: in hybrid mode a failed variant 0
+        // invalidates units [0, slice) of the real output; in fully
+        // mode each failed variant leaves its own slice unwritten or
+        // corrupt.
+        const kdp::KernelVariant &winner = entry.variants[selected];
+        if (mode == ProfilingMode::Hybrid && slots[0].failed) {
+            repairs++;
+            rt.submitBatch(winner, args, 0, slice, 1, 0, nullptr);
+        } else if (mode == ProfilingMode::Fully) {
+            for (std::size_t j = 0; j < n; ++j) {
+                if (!slots[j].failed)
+                    continue;
+                repairs++;
+                rt.submitBatch(winner, args, j * slice, slice, 1, 0,
+                               nullptr);
+            }
+        }
+    }
+
+    if (nextUnit < totalUnits && !batchSubmitted) {
+        batchSubmitted = true;
+        // Host-side cost of noticing completion and launching.
+        rt.dev.engine().scheduleAfter(rt.dev.hostQueryLatencyNs(), [this] {
+            remainderStart = rt.dev.now();
+            rt.submitBatch(entry.variants[selected], args, nextUnit,
+                           totalUnits - nextUnit, 0, 0, nullptr);
+            nextUnit = totalUnits;
+        });
+    }
+}
+
+void
+Runtime::ProfilingPass::pump()
+{
+    if (profilingDone || batchSubmitted)
+        return; // the remainder goes out as one batch
+    if (nextUnit >= totalUnits)
+        return;
+    const std::uint64_t units =
+        std::min<std::uint64_t>(chunk, totalUnits - nextUnit);
+    eagerChunks++;
+    const std::uint64_t first = nextUnit;
+    nextUnit += units;
+    // The host notices the chunk's completion after a query latency
+    // but issues no further chunk: a launch runs one eager chunk, and
+    // the async virtual times pinned by the drift goldens depend on
+    // that (ROADMAP item 4).
+    rt.submitBatch(entry.variants[act[bestSoFar]], args, first, units, 0, 0,
+                   [this](const sim::LaunchStats &) {
+                       rt.dev.engine().scheduleAfter(
+                           rt.dev.hostQueryLatencyNs(), [] {});
+                   });
 }
 
 support::Status
@@ -483,33 +802,14 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
         return support::Status::invalidArgument(
             "DySelLaunchKernel(" + signature + "): initial variant "
             + std::to_string(opt.initialVariant) + " out of range");
-    const int default_variant =
-        opt.initialVariant >= 0 ? opt.initialVariant : 0;
-
-    // ---- Guard: exclude blacklisted variants up front ----------------
-    // `act` maps active-local index j -> original variant index; every
-    // profiling-side vector below is indexed by j.
-    std::vector<std::size_t> act;
-    act.reserve(num_variants);
-    for (std::size_t i = 0; i < num_variants; ++i) {
-        if (guard_.enabled()
-            && guard_.isBlacklisted(signature, entry.variants[i].name))
-            continue;
-        act.push_back(i);
-    }
-    if (act.empty())
+    // A default variant that is blacklisted falls back to the first
+    // healthy one.
+    const int default_variant = resolveVariant(
+        signature, entry, opt.initialVariant >= 0 ? opt.initialVariant : 0);
+    if (default_variant < 0)
         return support::Status::failedPrecondition(
             "DySelLaunchKernel(" + signature
             + "): every variant is blacklisted");
-    const std::uint64_t excluded = num_variants - act.size();
-    // A requested variant that is blacklisted falls back to the first
-    // healthy one.
-    auto healthy = [&](int v) {
-        if (std::find(act.begin(), act.end(),
-                      static_cast<std::size_t>(v)) != act.end())
-            return v;
-        return static_cast<int>(act.front());
-    };
 
     // Profiling deactivated: reuse the cached selection (iterative
     // kernels profile only their first launch) or fall back to the
@@ -526,16 +826,24 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
         const int want = opt.shadow && opt.initialVariant >= 0
                              ? opt.initialVariant
                              : cached.value_or(default_variant);
-        const int use = healthy(want);
+        const int use = resolveVariant(signature, entry, want);
         return runPlain(signature, entry, use, total_units, args, opt,
                         cached.has_value() && use == want, out);
     }
 
-    if (act.size() == 1)
+    // ---- Guard: exclude blacklisted variants up front ----------------
+    // `act` maps active-local index j -> registered variant index.
+    std::vector<std::size_t> act;
+    act.reserve(num_variants);
+    for (std::size_t i = 0; i < num_variants; ++i)
+        if (usable(signature, entry.variants[i]))
+            act.push_back(i);
+    const std::size_t num_active = act.size();
+    if (num_active == 1)
         return runPlain(signature, entry, static_cast<int>(act.front()),
                         total_units, args, opt, false, out);
 
-    ProfilingMode mode = resolveMode(entry, opt);
+    const ProfilingMode mode = resolveMode(entry, opt);
     Orchestration orch = opt.orch;
     if (mode == ProfilingMode::Swap && orch == Orchestration::Async) {
         // The final output space is unknown until profiling completes
@@ -558,15 +866,14 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
         repeats = 1;
     }
 
-    const std::size_t num_active = act.size();
-
     // Safe point analysis: how much each active variant profiles.
+    const bool gpu = dev.kind() == sim::DeviceKind::Gpu;
     std::vector<std::uint64_t> wafs;
     wafs.reserve(num_active);
     for (std::size_t i : act)
         wafs.push_back(entry.variants[i].waFactor);
     unsigned fill_target = dev.computeUnits();
-    if (dev.kind() == sim::DeviceKind::Gpu)
+    if (gpu)
         fill_target *= std::max(1u, config.gpuSaturationBoost);
     const compiler::SafePointPlan plan = compiler::safePointAnalysis(
         wafs, fill_target, total_units, config.maxProfileFraction);
@@ -574,8 +881,8 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
     if (total_units < config.minUnitsForProfiling
         || plan.unitsPerVariant == 0) {
         // Small workload: profiling-based selection is deactivated.
-        return runPlain(signature, entry, healthy(default_variant),
-                        total_units, args, opt, false, out);
+        return runPlain(signature, entry, default_variant, total_units,
+                        args, opt, false, out);
     }
 
     const std::uint64_t slice = plan.unitsPerVariant;
@@ -589,10 +896,17 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
     report.orch = orch;
     report.totalUnits = total_units;
     report.profiledUnits = slice * num_active * repeats;
-    report.productiveUnits =
-        mode == ProfilingMode::Fully ? slice * num_active : slice;
-    report.guardExcluded = excluded;
+    report.productiveUnits = profiled_span_units;
+    report.guardExcluded = num_variants - num_active;
     report.startTime = dev.now();
+
+    ProfilingPass pass(*this, signature, entry, args, act, mode,
+                       total_units, slice, repeats, gpu);
+    pass.nextUnit = profiled_span_units;
+    // bestSoFar is active-local; start at the default variant.
+    for (std::size_t j = 0; j < num_active; ++j)
+        if (static_cast<int>(act[j]) == default_variant)
+            pass.bestSoFar = static_cast<int>(j);
 
     // ---- Sandbox / private output spaces -----------------------------
     auto outputs_of = [&](const kdp::KernelVariant &v) {
@@ -605,10 +919,6 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
 
     std::vector<kdp::KernelArgs> vargs(num_active, args);
     std::vector<std::unique_ptr<kdp::BufferBase>> extras;
-    // Winner's (arg index, private clone) pairs for the final swap.
-    std::vector<std::vector<std::pair<std::size_t, kdp::BufferBase *>>>
-        swap_map(num_active);
-
     if (mode != ProfilingMode::Fully) {
         const std::size_t first_cloned =
             mode == ProfilingMode::Hybrid ? 1 : 0;
@@ -631,85 +941,27 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
                     guard::VariantGuard::paintRedzone(*clone);
                 report.extraBytes += clone->sizeBytes();
                 vargs[j].rebind(idx, *clone);
-                swap_map[j].emplace_back(idx, clone.get());
+                pass.slots[j].clones.emplace_back(idx, clone.get());
                 extras.push_back(std::move(clone));
             }
         }
     }
 
-    // ---- Shared profiling state --------------------------------------
-    struct PState
-    {
-        std::vector<sim::TimeNs> metric;
-        /// Aggregation across repeats: the first repeat doubles as a
-        /// cache warmup, later repeats are averaged -- which is what
-        /// makes extra executions recover selection accuracy under
-        /// measurement noise (§5.2).
-        std::vector<double> metricSum;
-        std::vector<unsigned> metricCount;
-        std::vector<VariantProfile> profiles;
-        unsigned outstanding = 0;
-        int bestSoFar = 0;
-        sim::TimeNs bestMetric = std::numeric_limits<sim::TimeNs>::max();
-        bool profilingDone = false;
-        int selected = -1;
-        std::uint64_t nextUnit = 0;
-        bool batchSubmitted = false;
-        std::uint64_t eagerChunks = 0;
-        // Guard bookkeeping (all indexed by active-local j).
-        std::vector<unsigned> completions;
-        std::vector<bool> failed;
-        std::vector<GuardEvent> guardEvents;
-        std::uint64_t repairs = 0;
-        bool allFailed = false;
-        // Telemetry (indexed by active-local j).
-        std::vector<std::string> outcome;
-        sim::TimeNs remainderStart = 0;
-    };
-    auto st = std::make_shared<PState>();
-    st->metric.assign(num_active,
-                      std::numeric_limits<sim::TimeNs>::max());
-    st->metricSum.assign(num_active, 0.0);
-    st->metricCount.assign(num_active, 0);
-    st->profiles.resize(num_active);
-    for (std::size_t j = 0; j < num_active; ++j)
-        st->profiles[j].name = entry.variants[act[j]].name;
-    st->outstanding = static_cast<unsigned>(num_active) * repeats;
-    st->completions.assign(num_active, 0);
-    st->failed.assign(num_active, false);
-    st->outcome.assign(num_active, "pass");
-    st->nextUnit = profiled_span_units;
-
-    // bestSoFar is active-local; start at the default variant (or the
-    // first healthy one if the default is blacklisted).
-    st->bestSoFar = 0;
-    for (std::size_t j = 0; j < num_active; ++j)
-        if (static_cast<int>(act[j]) == healthy(default_variant))
-            st->bestSoFar = static_cast<int>(j);
-
-    // The Fig. 7 in-kernel timer (GPU path).
-    std::shared_ptr<GpuTimer> timer;
-    if (dev.kind() == sim::DeviceKind::Gpu) {
-        timer = std::make_shared<GpuTimer>(
-            static_cast<unsigned>(num_active), plan.groups);
-    }
-
-    const bool gpu = dev.kind() == sim::DeviceKind::Gpu;
-
-    // Forward declaration of the post-profiling step.
-    auto finish_profiling = std::make_shared<std::function<void()>>();
+    if (gpu)
+        pass.timer.emplace(static_cast<unsigned>(num_active), plan.groups);
 
     // ---- Submit the profiling launches -------------------------------
+    ProfilingPass *const p = &pass;
     for (std::size_t j = 0; j < num_active; ++j) {
         const kdp::KernelVariant &variant = entry.variants[act[j]];
         const std::uint64_t first_unit =
             mode == ProfilingMode::Fully ? j * slice : 0;
         // Profiling passes render on a subtrack per (device, variant)
         // so concurrent passes don't overlap on one timeline row.
-        const std::uint64_t passTrack =
-            tracing() ? tracer_->track(trackName_ + "/profile/"
-                                       + variant.name)
-                      : 0;
+        if (tracing())
+            pass.slots[j].track =
+                tracer_->track(trackName_ + "/profile/" + variant.name);
+        const auto jj = static_cast<unsigned>(j);
         for (unsigned r = 0; r < repeats; ++r) {
             sim::Launch launch;
             launch.variant = &variant;
@@ -721,209 +973,18 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
             // GPU profiling kernels measure in effective isolation
             // (concurrent kernels overlap only at tails on Kepler).
             launch.exclusive = gpu;
-            if (timer && r == 0) {
-                launch.onGroupStamp = [timer, j](sim::TimeNs s,
-                                                 sim::TimeNs e) {
-                    timer->blockDone(static_cast<unsigned>(j), s, e);
+            if (pass.timer && r == 0) {
+                launch.onGroupStamp = [p, jj](sim::TimeNs s,
+                                              sim::TimeNs e) {
+                    p->timer->blockDone(jj, s, e);
                 };
             }
-            launch.onComplete = [this, st, finish_profiling, j, gpu, slice,
-                                 r, repeats,
-                                 passTrack](const sim::LaunchStats &stats) {
-                const sim::TimeNs m =
-                    gpu ? stats.span() : stats.busyTime;
-                st->completions[j]++;
-                if (repeats == 1 || r > 0) {
-                    // With repeats, the first execution is a cache
-                    // warmup; steady-state repeats are averaged.
-                    st->metricSum[j] += static_cast<double>(m);
-                    st->metricCount[j]++;
-                    st->metric[j] = static_cast<sim::TimeNs>(
-                        st->metricSum[j] / st->metricCount[j]);
-                }
-                VariantProfile &prof = st->profiles[j];
-                if (r == 0) {
-                    prof.span = stats.span();
-                    prof.busy = stats.busyTime;
-                    prof.units = slice;
-                    prof.startTime = stats.firstStamp;
-                    prof.endTime = stats.lastStamp;
-                }
-                if (tracing()) {
-                    tracer_->complete(
-                        passTrack, "profile:" + st->profiles[j].name,
-                        stats.firstStamp, stats.lastStamp,
-                        activeCorrelation,
-                        {{"variant", st->profiles[j].name},
-                         {"repeat", std::to_string(r)},
-                         {"units", std::to_string(slice)},
-                         {"metric", std::to_string(m)}});
-                }
-                prof.metric = st->metric[j];
-                if (st->metric[j] < st->bestMetric) {
-                    st->bestMetric = st->metric[j];
-                    st->bestSoFar = static_cast<int>(j);
-                }
-                if (--st->outstanding == 0)
-                    (*finish_profiling)();
+            launch.onComplete = [p, jj, r](const sim::LaunchStats &stats) {
+                p->sliceDone(jj, r, stats);
             };
             dev.submit(std::move(launch));
         }
     }
-
-    // ---- Post-profiling: validate, select, swap, launch the rest -----
-    *finish_profiling = [this, st, &entry, &args, &swap_map, &act, mode,
-                         orch, total_units, signature, slice] {
-        st->profilingDone = true;
-        const std::size_t n = act.size();
-
-        if (guard_.enabled()) {
-            auto strike = [&](std::size_t j, guard::CheckKind ck) {
-                st->failed[j] = true;
-                st->outcome[j] = guard::checkKindName(ck);
-                guard_.strike(signature, entry.variants[act[j]].name,
-                              ck);
-                st->guardEvents.push_back(
-                    {entry.variants[act[j]].name,
-                     guard::checkKindName(ck)});
-                if (tracing()) {
-                    tracer_->instant(
-                        traceTrack, "guard.strike", dev.now(),
-                        activeCorrelation,
-                        {{"variant", entry.variants[act[j]].name},
-                         {"check", guard::checkKindName(ck)}});
-                }
-            };
-            if (mode != ProfilingMode::Fully) {
-                // Self checks on each variant's private clones (in
-                // hybrid mode variant 0 has none; only the watchdog
-                // covers it).  At most one strike per variant per
-                // pass, in check order: redzone, NaN, mismatch.
-                for (std::size_t j = 0; j < n; ++j) {
-                    if (st->failed[j])
-                        continue;
-                    bool bad_rz = false;
-                    bool bad_nan = false;
-                    for (const auto &[idx, clone] : swap_map[j]) {
-                        (void)idx;
-                        if (!guard::VariantGuard::redzoneIntact(*clone))
-                            bad_rz = true;
-                        else if (guard::VariantGuard::hasNanOrInf(
-                                     *clone))
-                            bad_nan = true;
-                    }
-                    if (bad_rz)
-                        strike(j, guard::CheckKind::Redzone);
-                    else if (bad_nan)
-                        strike(j, guard::CheckKind::NanInf);
-                }
-                // Cross-check everyone against the reference: the
-                // first variant that passed its self checks.  (A
-                // corrupt reference with plausible values defeats
-                // this -- a documented reference-trust limitation.)
-                std::size_t ref = n;
-                for (std::size_t j = 0; j < n; ++j) {
-                    if (!st->failed[j]) {
-                        ref = j;
-                        break;
-                    }
-                }
-                for (std::size_t j = 0; ref < n && j < n; ++j) {
-                    if (j == ref || st->failed[j])
-                        continue;
-                    bool match = true;
-                    for (const auto &[idx, clone] : swap_map[j]) {
-                        // The reference output for this arg: its own
-                        // clone, or the real buffer (hybrid ref 0).
-                        const kdp::BufferBase *refbuf =
-                            &args.bufBase(idx);
-                        for (const auto &[ridx, rclone] : swap_map[ref])
-                            if (ridx == idx)
-                                refbuf = rclone;
-                        if (!guard_.outputsMatch(*refbuf, *clone)) {
-                            match = false;
-                            break;
-                        }
-                    }
-                    if (!match)
-                        strike(j, guard::CheckKind::Mismatch);
-                }
-                for (std::size_t j = 0; j < n; ++j)
-                    if (!st->failed[j])
-                        guard_.pass(signature,
-                                    entry.variants[act[j]].name);
-            }
-        }
-
-        // Select the fastest variant that survived validation.
-        std::size_t best = n;
-        for (std::size_t j = 0; j < n; ++j) {
-            if (st->failed[j])
-                continue;
-            if (best == n || st->metric[j] < st->metric[best])
-                best = j;
-        }
-        if (best == n) {
-            // Every variant failed validation: there is no
-            // trustworthy implementation to run the remainder with.
-            st->allFailed = true;
-            st->selected = -1;
-            return;
-        }
-        st->selected = static_cast<int>(act[best]);
-        selectionCache[signature] = st->selected;
-
-        if (mode == ProfilingMode::Swap) {
-            // Swap the winner's private outputs into place; the
-            // losers' copies are discarded.  On real hardware this is
-            // a pointer swap, so no virtual time is charged.  Guarded
-            // clones are redzone-padded, so only the data prefix is
-            // copied.
-            for (const auto &[idx, clone] : swap_map[best]) {
-                if (guard_.enabled())
-                    guard::VariantGuard::copyData(args.bufBase(idx),
-                                                  *clone);
-                else
-                    args.bufBase(idx).copyFrom(*clone);
-            }
-        }
-
-        if (guard_.enabled()) {
-            // Repair productive slices whose producer failed, so
-            // profiling stays productive: in hybrid mode a failed
-            // variant 0 invalidates units [0, slice) of the real
-            // output; in fully mode each failed variant leaves its
-            // own slice unwritten or corrupt.
-            const kdp::KernelVariant &winner =
-                entry.variants[st->selected];
-            if (mode == ProfilingMode::Hybrid && st->failed[0]) {
-                st->repairs++;
-                submitBatch(winner, args, 0, slice, 1, 0, nullptr);
-            } else if (mode == ProfilingMode::Fully) {
-                for (std::size_t j = 0; j < n; ++j) {
-                    if (!st->failed[j])
-                        continue;
-                    st->repairs++;
-                    submitBatch(winner, args, j * slice, slice, 1, 0,
-                                nullptr);
-                }
-            }
-        }
-
-        if (st->nextUnit < total_units && !st->batchSubmitted) {
-            st->batchSubmitted = true;
-            // Host-side cost of noticing completion and launching.
-            dev.engine().scheduleAfter(
-                dev.hostQueryLatencyNs(),
-                [this, st, &entry, &args, total_units] {
-                    st->remainderStart = dev.now();
-                    submitBatch(entry.variants[st->selected], args,
-                                st->nextUnit, total_units - st->nextUnit,
-                                0, 0, nullptr);
-                    st->nextUnit = total_units;
-                });
-        }
-    };
 
     // ---- Async eager execution (Fig. 4b) ------------------------------
     if (orch == Orchestration::Async) {
@@ -932,37 +993,9 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
             chunk = std::max<std::uint64_t>(plan.lcm * plan.scale,
                                             total_units / 32);
         }
-        chunk = roundUp(chunk, plan.lcm);
-
-        auto pump = std::make_shared<std::function<void()>>();
-        // The continuations capture pump weakly: the local shared_ptr
-        // outlives dev.run() below, and a strong self-capture would
-        // cycle and leak the profiling state.
-        std::weak_ptr<std::function<void()>> pump_weak = pump;
-        *pump = [this, st, &entry, &args, &act, total_units, chunk,
-                 pump_weak] {
-            if (st->profilingDone || st->batchSubmitted)
-                return; // the remainder goes out as one batch
-            if (st->nextUnit >= total_units)
-                return;
-            const std::uint64_t units =
-                std::min<std::uint64_t>(chunk, total_units - st->nextUnit);
-            const kdp::KernelVariant &variant =
-                entry.variants[act[st->bestSoFar]];
-            st->eagerChunks++;
-            const std::uint64_t first = st->nextUnit;
-            st->nextUnit += units;
-            submitBatch(variant, args, first, units, 0, 0,
-                        [this, pump_weak](const sim::LaunchStats &) {
-                            dev.engine().scheduleAfter(
-                                dev.hostQueryLatencyNs(), [pump_weak] {
-                                    if (auto p = pump_weak.lock())
-                                        (*p)();
-                                });
-                        });
-        };
+        pass.chunk = roundUp(chunk, plan.lcm);
         dev.engine().scheduleAfter(dev.hostQueryLatencyNs(),
-                                   [pump] { (*pump)(); });
+                                   [p] { p->pump(); });
     }
 
     dev.run();
@@ -970,85 +1003,67 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
     if (auto fault = consumeDeviceFault(); !fault.ok())
         return fault;
 
-    if (!st->profilingDone) {
-        if (!guard_.enabled())
-            support::panic("profiling did not complete for '%s'",
-                           signature.c_str());
+    if (!pass.profilingDone) {
         // Watchdog: the event queue drained with profiling slices
         // still missing -- a hung variant's launches never completed.
         // Strike the laggards and finish selection with the
         // survivors, then drain the repair / remainder work.
         bool any_hung = false;
-        for (std::size_t j = 0; j < num_active; ++j) {
-            if (st->completions[j] >= repeats)
+        for (std::size_t j = 0; guard_.enabled() && j < num_active; ++j) {
+            if (pass.slots[j].completions >= repeats)
                 continue;
             any_hung = true;
-            st->failed[j] = true;
-            st->outcome[j] =
-                guard::checkKindName(guard::CheckKind::Watchdog);
-            guard_.strike(signature, entry.variants[act[j]].name,
-                          guard::CheckKind::Watchdog);
-            st->guardEvents.push_back(
-                {entry.variants[act[j]].name,
-                 guard::checkKindName(guard::CheckKind::Watchdog)});
-            if (tracing()) {
-                tracer_->instant(
-                    traceTrack, "guard.strike", dev.now(),
-                    activeCorrelation,
-                    {{"variant", entry.variants[act[j]].name},
-                     {"check", guard::checkKindName(
-                                   guard::CheckKind::Watchdog)}});
-            }
+            pass.strike(j, guard::CheckKind::Watchdog);
         }
         if (!any_hung)
             support::panic("profiling did not complete for '%s'",
                            signature.c_str());
-        (*finish_profiling)();
+        pass.finishProfiling();
         dev.run();
         if (auto fault = consumeDeviceFault(); !fault.ok())
             return fault;
     }
 
-    if (st->allFailed)
+    if (pass.allFailed)
         return support::Status::dataLoss(
             "DySelLaunchKernel(" + signature + "): every variant "
             "failed guard validation; no trustworthy output");
 
-    report.selected = st->selected;
-    report.selectedName = entry.variants[st->selected].name;
-    report.eagerChunks = st->eagerChunks;
-    report.profiles = st->profiles;
-    report.guardEvents = st->guardEvents;
-    report.guardRepairs = st->repairs;
+    report.selected = pass.selected;
+    report.selectedName = entry.variants[pass.selected].name;
+    report.eagerChunks = pass.eagerChunks;
+    report.profiles = pass.profiles;
+    report.guardEvents = pass.guardEvents;
+    report.guardRepairs = pass.repairs;
     report.endTime = dev.now();
 
     // Structured selection timeline: one pass record per registered
     // variant, registration order, skipped variants included.
     const sim::TimeNs unmeasured =
         std::numeric_limits<sim::TimeNs>::max();
-    for (std::size_t i = 0; i < num_variants; ++i) {
-        SelectionPass pass;
-        pass.variant = entry.variants[i].name;
-        const auto jt = std::find(act.begin(), act.end(), i);
-        if (jt == act.end()) {
-            pass.guardOutcome = "blacklisted";
+    for (std::size_t i = 0, j = 0; i < num_variants; ++i) {
+        SelectionPass rec;
+        rec.variant = entry.variants[i].name;
+        if (j == num_active || act[j] != i) {
+            rec.guardOutcome = "blacklisted";
         } else {
-            const auto j = static_cast<std::size_t>(jt - act.begin());
-            pass.units = slice;
-            pass.startTime = st->profiles[j].startTime;
-            pass.endTime = st->profiles[j].endTime;
-            pass.metric = st->metric[j] == unmeasured ? 0 : st->metric[j];
-            pass.guardOutcome = st->outcome[j];
-            pass.selected = static_cast<int>(i) == st->selected;
+            const ProfilingPass::Slot &sl = pass.slots[j];
+            rec.units = slice;
+            rec.startTime = pass.profiles[j].startTime;
+            rec.endTime = pass.profiles[j].endTime;
+            rec.metric = sl.metric == unmeasured ? 0 : sl.metric;
+            rec.guardOutcome = sl.outcome;
+            rec.selected = static_cast<int>(i) == pass.selected;
+            ++j;
         }
-        report.timeline.push_back(std::move(pass));
+        report.timeline.push_back(std::move(rec));
     }
 
     if (tracing()) {
-        if (st->batchSubmitted) {
+        if (pass.batchSubmitted) {
             // The winner's bulk execution of the remainder.
             tracer_->complete(
-                traceTrack, "execute", st->remainderStart,
+                traceTrack, "execute", pass.remainderStart,
                 report.endTime, opt.correlationId,
                 {{"variant", report.selectedName},
                  {"units",

@@ -162,6 +162,10 @@ class Runtime
     const compiler::KernelInfo *
     findKernelInfo(const std::string &signature) const noexcept;
 
+    /** Index of the variant named @p name; -1 when either is unknown. */
+    int findVariantIndex(const std::string &signature,
+                         const std::string &name) const noexcept;
+
     /**
      * Launch a kernel over @p total_units workload units
      * (DySelLaunchKernel), the fallible entry point.  Runs the
@@ -272,6 +276,9 @@ class Runtime
         bool hasInfo = false;
     };
 
+    /** State and device callbacks of one profiled launch. */
+    struct ProfilingPass;
+
     /** Non-throwing pool lookup; nullptr for an unknown signature. */
     const KernelEntry *findEntry(const std::string &signature)
         const noexcept;
@@ -286,6 +293,14 @@ class Runtime
     /** Notify the launch observer (if any) and forward the report. */
     LaunchReport finish(LaunchReport report);
 
+    /** Whether the guard lets @p v run (always, with the guard off). */
+    bool usable(const std::string &signature,
+                const kdp::KernelVariant &v) const;
+
+    /** @p want if registered and usable, else the first usable; -1. */
+    int resolveVariant(const std::string &signature,
+                       const KernelEntry &entry, int want) const;
+
     /** Resolve the effective profiling mode for this launch. */
     ProfilingMode resolveMode(const KernelEntry &entry,
                               const LaunchOptions &opt) const;
@@ -295,6 +310,16 @@ class Runtime
                      const kdp::KernelArgs &args, std::uint64_t first_unit,
                      std::uint64_t units, int priority, int stream,
                      std::function<void(const sim::LaunchStats &)> done);
+
+    /** Shared tail of runPlain() and launchFused(): fill, submit,
+     * run, check faults, trace (when tracing), notify. */
+    template <typename Submit, typename Trace>
+    support::Status runSingle(const std::string &signature,
+                              const KernelEntry &entry, int variant,
+                              std::uint64_t total_units,
+                              const LaunchOptions &opt, LaunchReport &report,
+                              Submit &&submit, Trace &&trace,
+                              LaunchReport &out);
 
     /** Non-profiled path: run everything with one variant. */
     support::Status runPlain(const std::string &signature,

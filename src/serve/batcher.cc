@@ -6,13 +6,13 @@ namespace dysel {
 namespace serve {
 
 bool
-Batcher::eligible(const Job &job)
+Batcher::eligible(const detail::Job &job)
 {
     return !job.ensureRegistered && !job.noBatch && job.units > 0;
 }
 
 bool
-Batcher::compatible(const Job &head, const Job &candidate)
+Batcher::compatible(const detail::Job &head, const detail::Job &candidate)
 {
     // Fused members execute under the head's LaunchOptions, so the
     // fields that shape a fused launch must agree: initialVariant
@@ -30,7 +30,7 @@ Batcher::compatible(const Job &head, const Job &candidate)
 }
 
 std::size_t
-Batcher::gather(JobRing &queue, const Job &head,
+Batcher::gather(JobRing &queue, const detail::Job &head,
                 std::vector<detail::QueuedJob> &members) const
 {
     std::size_t taken = 0;
@@ -41,7 +41,7 @@ Batcher::gather(JobRing &queue, const Job &head,
     while (i < queue.size()) {
         if (members.size() + 1 >= limits_.maxJobs)
             break;
-        const Job &cand = queue.at(i).job;
+        const detail::Job &cand = queue.at(i).job;
         const bool fits =
             limits_.maxUnits == 0
             || unitsSum + cand.units <= limits_.maxUnits;

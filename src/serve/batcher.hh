@@ -59,7 +59,7 @@ class Batcher
      * fused launch registers nothing), not opted out, and a non-empty
      * workload.
      */
-    static bool eligible(const Job &job);
+    static bool eligible(const detail::Job &job);
 
     /**
      * Whether @p candidate can fuse with @p head: both eligible, same
@@ -71,7 +71,7 @@ class Batcher
      * eagerChunkUnits) are ignored, since a fused launch performs
      * neither.
      */
-    static bool compatible(const Job &head, const Job &candidate);
+    static bool compatible(const detail::Job &head, const detail::Job &candidate);
 
     /**
      * Extract every job of @p queue compatible with @p head, in queue
@@ -79,7 +79,7 @@ class Batcher
      * and maxUnits summed units.  The caller holds the shard lock.
      * Returns the number extracted this call.
      */
-    std::size_t gather(JobRing &queue, const Job &head,
+    std::size_t gather(JobRing &queue, const detail::Job &head,
                        std::vector<detail::QueuedJob> &members) const;
 
   private:

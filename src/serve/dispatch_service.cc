@@ -51,6 +51,18 @@ retryableCode(support::StatusCode code)
     }
 }
 
+/**
+ * Whether a failed attempt with @p code says something about device
+ * health (the breaker watches these, not job-level failures such as
+ * an unknown signature).
+ */
+bool
+isDeviceFault(support::StatusCode code)
+{
+    return code == support::StatusCode::Unavailable
+           || code == support::StatusCode::DeadlineExceeded;
+}
+
 std::uint64_t
 wallNowNs()
 {
@@ -67,21 +79,6 @@ confStr(double c)
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%.3f", c);
     return buf;
-}
-
-/** Copy a spec's fields into pooled job storage, reusing capacity. */
-void
-copySpecInto(const JobSpec &spec, Job &dst)
-{
-    const Job &src = spec.job();
-    dst.signature = src.signature;
-    dst.units = src.units;
-    dst.args = src.args;
-    dst.opt = src.opt;
-    dst.ensureRegistered = src.ensureRegistered;
-    dst.done = src.done;
-    dst.deadlineNs = src.deadlineNs;
-    dst.noBatch = src.noBatch;
 }
 
 const std::vector<unsigned> kNoExclusions;
@@ -639,19 +636,6 @@ DispatchService::jobDone()
     }
 }
 
-JobHandle
-DispatchService::submit(Job job)
-{
-    // Deprecated shim: wrap the raw job in a spec and go through the
-    // batched submission core.
-    JobSpec spec;
-    spec.job_ = std::move(job);
-    JobHandle handle;
-    submitMany(std::span<const JobSpec>(&spec, 1),
-               std::span<JobHandle>(&handle, 1));
-    return handle;
-}
-
 std::vector<JobHandle>
 DispatchService::submitMany(std::span<const JobSpec> specs)
 {
@@ -750,7 +734,9 @@ DispatchService::submitMany(std::span<const JobSpec> specs,
                 }
                 auto state = w.pool.acquireState(id);
                 detail::QueuedJob qj = w.pool.acquireShell();
-                copySpecInto(specs[i], qj.job);
+                // Copy-assignment into the pooled shell reuses its
+                // string and vector capacity.
+                qj.job = specs[i].job_;
                 qj.job.id = id;
                 qj.state = state;
                 qj.enqueuedNs =
@@ -903,27 +889,9 @@ DispatchService::workerLoop(unsigned idx)
 
         applyPendingInstallers(idx);
 
-        // Claim the job; a lost race means it was cancelled while
-        // queued and the handle already carries the Cancelled result.
-        // The done callback still fires exactly once, here.
-        int expected = detail::JobState::Queued;
-        if (!qj.state->phase.compare_exchange_strong(
-                expected, detail::JobState::Running)) {
-            finishCancelled(idx, std::move(qj));
+        if (!claim(idx, qj))
             continue;
-        }
-
-        // The device is idle between jobs, so its clock is safe to
-        // read here: close the queue span and record the claim.
-        const sim::TimeNs claimNs = w.dev->now();
-        if (tracer_.enabled()) {
-            tracer_.complete(
-                w.traceTrack, "queue", qj.enqueuedNs, claimNs,
-                qj.job.id,
-                {{"signature", qj.job.signature},
-                 {"attempt", std::to_string(qj.attempt + 1)}});
-        }
-        w.flight.record(claimNs, qj.job.id, "claim",
+        w.flight.record(w.dev->now(), qj.job.id, "claim",
                         "dev=" + w.dev->name() + " attempt="
                             + std::to_string(qj.attempt + 1));
 
@@ -931,8 +899,32 @@ DispatchService::workerLoop(unsigned idx)
             continue;
 
         JobResult res = runJob(idx, qj);
-        completeSolo(idx, qj, std::move(res));
+        complete(idx, qj, std::move(res));
     }
+}
+
+bool
+DispatchService::claim(unsigned idx, detail::QueuedJob &qj)
+{
+    // A lost race means the job was cancelled while queued and the
+    // handle already carries the Cancelled result; the done callback
+    // still fires exactly once, here.
+    int expected = detail::JobState::Queued;
+    if (!qj.state->phase.compare_exchange_strong(
+            expected, detail::JobState::Running)) {
+        finishCancelled(idx, std::move(qj));
+        return false;
+    }
+    // The device is idle between jobs, so its clock is safe to read
+    // here.
+    if (tracer_.enabled()) {
+        Worker &w = *workers[idx];
+        tracer_.complete(w.traceTrack, "queue", qj.enqueuedNs,
+                         w.dev->now(), qj.job.id,
+                         {{"signature", qj.job.signature},
+                          {"attempt", std::to_string(qj.attempt + 1)}});
+    }
+    return true;
 }
 
 bool
@@ -992,24 +984,13 @@ DispatchService::tryRunBatch(unsigned idx, detail::QueuedJob &head)
         }
     }
 
-    // Claim every member; one that lost to cancel() finishes here
-    // with its exactly-once callback, without disturbing the batch.
+    // Claim every member; one that lost to cancel() finishes inside
+    // claim() without disturbing the batch.
     std::size_t kept = 0;
     for (std::size_t i = 0; i < w.batchMembers.size(); ++i) {
         detail::QueuedJob &m = w.batchMembers[i];
-        int expected = detail::JobState::Queued;
-        if (!m.state->phase.compare_exchange_strong(
-                expected, detail::JobState::Running)) {
-            finishCancelled(idx, std::move(m));
+        if (!claim(idx, m))
             continue;
-        }
-        if (tracer_.enabled()) {
-            tracer_.complete(
-                w.traceTrack, "queue", m.enqueuedNs, w.dev->now(),
-                m.job.id,
-                {{"signature", m.job.signature},
-                 {"attempt", std::to_string(m.attempt + 1)}});
-        }
         if (i != kept)
             w.batchMembers[kept] = std::move(m);
         ++kept;
@@ -1045,12 +1026,9 @@ DispatchService::runBatch(unsigned idx,
     // solo launches of the signature skip the store round-trip.
     int variant = -1;
     if (warm) {
-        variant = rec->selected;
-        if (const auto *variants = w.rt->findVariants(sig)) {
-            for (std::size_t i = 0; i < variants->size(); ++i)
-                if ((*variants)[i].name == rec->selectedName)
-                    variant = static_cast<int>(i);
-        }
+        variant = w.rt->findVariantIndex(sig, rec->selectedName);
+        if (variant < 0)
+            variant = rec->selected;
         (void)w.rt->tryImportSelection(sig, variant);
     }
 
@@ -1092,10 +1070,7 @@ DispatchService::runBatch(unsigned idx,
         // persistently faulty job then flows through the normal
         // per-job retry machinery on its solo runs.
         const support::StatusCode code = st.code();
-        const bool deviceFault =
-            code == support::StatusCode::Unavailable
-            || code == support::StatusCode::DeadlineExceeded;
-        breakerObserve(idx, deviceFault);
+        breakerObserve(idx, isDeviceFault(code));
         batchDemotedCounter->inc(n);
         if (tracer_.enabled()) {
             tracer_.instant(
@@ -1109,7 +1084,6 @@ DispatchService::runBatch(unsigned idx,
                         "jobs=" + std::to_string(n) + " "
                             + st.toString());
         const sim::TimeNs share = elapsed / n;
-        std::size_t requeued = 0;
         {
             std::lock_guard<std::mutex> lock(w.qmu);
             for (detail::QueuedJob &m : members) {
@@ -1122,12 +1096,10 @@ DispatchService::runBatch(unsigned idx,
                 m.state->phase.store(detail::JobState::Queued,
                                      std::memory_order_release);
                 w.queue.push(std::move(m));
-                ++requeued;
             }
         }
         // Members stayed on this shard, so w.load is already right;
         // the worker loops straight back into the queue.
-        (void)requeued;
         members.clear();
         return;
     }
@@ -1145,12 +1117,9 @@ DispatchService::runBatch(unsigned idx,
         // as misses so hit-rate accounting matches the solo path.
         storeMissCounter->inc(n);
     }
-    breakerObserve(idx, false);
-    if (config.affinity && warm) {
-        std::lock_guard<std::mutex> lock(routeMu);
-        affinityMap[sig] = idx;
-    }
 
+    // Each member completes like a solo job whose launch took an even
+    // share of the fused device time.
     const sim::TimeNs share = elapsed / n;
     for (detail::QueuedJob &m : members) {
         JobResult res;
@@ -1162,37 +1131,14 @@ DispatchService::runBatch(unsigned idx,
         res.report = report;
         res.report.totalUnits = m.job.units; // the member's own view
         res.deviceTimeNs = share;
-        res.attempts = m.attempt + 1;
-        res.backoffNs = m.backoffNs;
-        m.spentNs += share;
-        if (m.job.deadlineNs != 0
-            && m.spentNs + m.backoffNs > m.job.deadlineNs) {
-            res.status = support::Status::deadlineExceeded(
-                "job " + std::to_string(m.job.id)
-                + " exceeded its deadline");
-            reg.counter("recover.timeouts").inc();
-        }
-        const bool succeeded = res.ok();
-        if (succeeded) {
-            w.jobsCounter->inc();
-            deviceNsHist->observe(static_cast<double>(share));
-            w.latencyHist->observe(static_cast<double>(share));
-        }
-        (succeeded ? completedCounter : failedCounter)->inc();
-        attemptsHist->observe(static_cast<double>(res.attempts));
-        if (res.backoffNs > 0)
-            backoffHist->observe(static_cast<double>(res.backoffNs));
-        finishJob(m, std::move(res));
-        w.load.fetch_sub(1, std::memory_order_relaxed);
-        jobDone();
-        w.pool.releaseShell(std::move(m));
+        complete(idx, m, std::move(res));
     }
     members.clear();
 }
 
 void
-DispatchService::completeSolo(unsigned idx, detail::QueuedJob &qj,
-                              JobResult res)
+DispatchService::complete(unsigned idx, detail::QueuedJob &qj,
+                          JobResult res)
 {
     Worker &w = *workers[idx];
     res.attempts = qj.attempt + 1;
@@ -1200,13 +1146,17 @@ DispatchService::completeSolo(unsigned idx, detail::QueuedJob &qj,
     qj.spentNs += res.deviceTimeNs;
     w.clockNs.store(w.dev->now(), std::memory_order_relaxed);
 
-    // The breaker watches device faults, not job-level failures
-    // (an unknown signature says nothing about device health).
     const support::StatusCode launchCode = res.status.code();
-    const bool deviceFault =
-        launchCode == support::StatusCode::Unavailable
-        || launchCode == support::StatusCode::DeadlineExceeded;
-    if (launchCode == support::StatusCode::DeadlineExceeded) {
+    const bool deviceFault = isDeviceFault(launchCode);
+    if (launchCode == support::StatusCode::Ok) {
+        // Device accounting counts every launch that ran, including
+        // one whose job then misses its deadline.
+        w.jobsCounter->inc();
+        deviceNsHist->observe(static_cast<double>(res.deviceTimeNs));
+        w.latencyHist->observe(static_cast<double>(res.deviceTimeNs));
+        if (res.report.profiled)
+            w.profiledCounter->inc();
+    } else if (launchCode == support::StatusCode::DeadlineExceeded) {
         // A hung device timed the attempt out.
         reg.counter("recover.timeouts").inc();
     }
@@ -1304,7 +1254,7 @@ JobResult
 DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
 {
     Worker &w = *workers[idx];
-    Job &job = qj.job;
+    detail::Job &job = qj.job;
     JobResult res;
     res.id = job.id;
     res.deviceIndex = idx;
@@ -1415,13 +1365,8 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
         if (confident) {
             // Resolve the predicted variant by name; an unknown or
             // blacklisted variant voids the prediction.
-            int variant = -1;
-            if (const auto *variants =
-                    w.rt->findVariants(job.signature)) {
-                for (std::size_t i = 0; i < variants->size(); ++i)
-                    if ((*variants)[i].name == pred->variant)
-                        variant = static_cast<int>(i);
-            }
+            const int variant =
+                w.rt->findVariantIndex(job.signature, pred->variant);
             const bool blocked =
                 variant < 0
                 || (w.rt->guard().enabled()
@@ -1517,12 +1462,10 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
     if (rec) {
         // Warm start: resolve the stored winner (by name, so records
         // survive re-registration) and skip profiling.
-        int variant = rec->selected;
-        if (const auto *variants = w.rt->findVariants(job.signature)) {
-            for (std::size_t i = 0; i < variants->size(); ++i)
-                if ((*variants)[i].name == rec->selectedName)
-                    variant = static_cast<int>(i);
-        }
+        int variant =
+            w.rt->findVariantIndex(job.signature, rec->selectedName);
+        if (variant < 0)
+            variant = rec->selected;
         if (auto st = w.rt->tryImportSelection(job.signature, variant);
             !st.ok()) {
             res.status = std::move(st);
@@ -1555,11 +1498,6 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
     res.deviceTimeNs = w.dev->now() - before;
 
     if (res.ok()) {
-        w.jobsCounter->inc();
-        deviceNsHist->observe(static_cast<double>(res.deviceTimeNs));
-        w.latencyHist->observe(static_cast<double>(res.deviceTimeNs));
-        if (res.report.profiled)
-            w.profiledCounter->inc();
         // Selection-quality audit: a sampled warm hit is followed by
         // a shadow probe of winner vs runner-up, here -- while the
         // job's buffers are still alive -- and before completion, so
@@ -1601,7 +1539,7 @@ DispatchService::auditWarmHit(unsigned idx, const detail::QueuedJob &qj,
                               const store::SelectionRecord &rec)
 {
     Worker &w = *workers[idx];
-    const Job &job = qj.job;
+    const detail::Job &job = qj.job;
 
     // The stored runner-up: the best per-unit profiled variant that
     // is not the served winner -- the same fallback quarantine would
@@ -1623,16 +1561,10 @@ DispatchService::auditWarmHit(unsigned idx, const detail::QueuedJob &qj,
             bestUnitNs = unitNs;
         }
     }
-    auto indexOf = [&](const std::string &name) -> int {
-        if (const auto *variants = w.rt->findVariants(job.signature)) {
-            for (std::size_t i = 0; i < variants->size(); ++i)
-                if ((*variants)[i].name == name)
-                    return static_cast<int>(i);
-        }
-        return -1;
-    };
-    const int winIdx = indexOf(winner);
-    const int runIdx = runnerUp.empty() ? -1 : indexOf(runnerUp);
+    const int winIdx = w.rt->findVariantIndex(job.signature, winner);
+    const int runIdx =
+        runnerUp.empty() ? -1
+                         : w.rt->findVariantIndex(job.signature, runnerUp);
     if (winIdx < 0 || runIdx < 0) {
         // A sampled hit whose probe pair cannot even be resolved
         // (stale record, re-registration): account it as a failed

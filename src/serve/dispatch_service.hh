@@ -17,8 +17,7 @@
  * Submission API (DESIGN §10): the stable public surface is the
  * builder-style JobSpec plus submitMany(), which admits a whole span
  * of jobs under one shard-lock acquisition per destination shard and
- * returns their handles; submit(Job) remains as a thin deprecated
- * shim.  Kernel pools are installed through registerKernelPool(),
+ * returns their handles.  Kernel pools are installed through registerKernelPool(),
  * which is thread-safe before *and* after start(); runtimeAt() is
  * const observation only.
  *
@@ -310,7 +309,7 @@ class DispatchService
      * are routed first, then each destination shard's lock is taken
      * once for all of its jobs -- a burst of compatible jobs lands in
      * one lock acquisition and is immediately fusable by the worker.
-     * Admission control applies per job, exactly as with submit().
+     * Admission control applies per job.
      * Steady-state calls perform no heap allocation on this thread
      * (see the JobSpec reuse contract).
      */
@@ -319,14 +318,6 @@ class DispatchService
 
     /** Convenience overload returning the handles in a vector. */
     std::vector<JobHandle> submitMany(std::span<const JobSpec> specs);
-
-    /**
-     * Enqueue one job; returns its handle.
-     *
-     * @deprecated Thin shim over submitMany(); build a JobSpec and
-     * use submitMany() instead.
-     */
-    JobHandle submit(Job job);
 
     /** Block until every submitted job has completed. */
     void drain();
@@ -486,10 +477,20 @@ class DispatchService
     void runBatch(unsigned idx,
                   const std::optional<store::SelectionRecord> &rec);
 
-    /** Worker-side completion of a solo job (shared tail of the
-     * worker loop): retry decision, breaker, affinity, metrics. */
-    void completeSolo(unsigned idx, detail::QueuedJob &qj,
-                      JobResult res);
+    /**
+     * Worker-side completion of one attempt, solo or fused member:
+     * deadline, retry decision, breaker, affinity, metrics, then the
+     * handle, the shard load, and the shell.  @p res carries the
+     * attempt's launch status and device time.
+     */
+    void complete(unsigned idx, detail::QueuedJob &qj, JobResult res);
+
+    /**
+     * Claim a popped or gathered job (Queued -> Running) and close its
+     * queue trace span.  A lost race means cancel() won: the job is
+     * finished here with its exactly-once callback and false returned.
+     */
+    bool claim(unsigned idx, detail::QueuedJob &qj);
 
     /** A queued job lost its claim race to cancel(): deliver the
      * exactly-once callback and drop it from the system. */

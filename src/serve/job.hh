@@ -4,10 +4,9 @@
  * submission spec, the caller-side handle, and the internal queued-job
  * shell the buffer pool recycles.
  *
- * The stable public submission surface is JobSpec + DispatchService::
- * submitMany() (DESIGN §10).  The raw Job struct remains as the
- * storage type behind JobSpec and as the input of the deprecated
- * submit(Job) shim.
+ * The public submission surface is JobSpec + DispatchService::
+ * submitMany() (DESIGN §10).  detail::Job is the storage behind a
+ * spec and a queued job.
  */
 #pragma once
 
@@ -71,13 +70,9 @@ struct JobResult
     sim::TimeNs backoffNs = 0;
 };
 
-/**
- * One launch job (storage form).
- *
- * @deprecated As a public submission type: build a JobSpec and use
- * DispatchService::submitMany() instead.  submit(Job) remains as a
- * thin shim over the same path.
- */
+namespace detail {
+
+/** One launch job: the storage behind a JobSpec and a queued job. */
 struct Job
 {
     std::string signature;
@@ -114,9 +109,41 @@ struct Job
     /** Exclude this job from batch fusion (solo execution only). */
     bool noBatch = false;
 
-    /** Assigned by submit()/submitMany(). */
+    /** Assigned by submitMany(). */
     std::uint64_t id = 0;
 };
+
+/** Shared completion state behind a JobHandle. */
+struct JobState
+{
+    enum Phase { Queued = 0, Running = 1, Done = 2, Cancelled = 3 };
+
+    std::uint64_t id = 0;
+    std::atomic<int> phase{Queued};
+    mutable std::mutex mu;
+    mutable std::condition_variable cv;
+    JobResult result; ///< valid once phase is Done or Cancelled
+};
+
+/**
+ * A job in flight, with its retry state.  The shell -- the strings,
+ * vectors, and argument slots -- is recycled through the worker
+ * shard's BufferPool, so steady-state submission reuses capacity
+ * instead of allocating.
+ */
+struct QueuedJob
+{
+    Job job;
+    std::shared_ptr<JobState> state;
+    unsigned attempt = 0; ///< failed attempts so far
+    std::vector<unsigned> excluded; ///< devices that failed it
+    sim::TimeNs backoffNs = 0; ///< charged virtual backoff
+    sim::TimeNs spentNs = 0; ///< device time across attempts
+    /** Destination device's clock when (re-)enqueued (queue span). */
+    sim::TimeNs enqueuedNs = 0;
+};
+
+} // namespace detail
 
 /**
  * Builder-style submission spec, the stable public surface.  A spec
@@ -177,8 +204,8 @@ class JobSpec
         return *this;
     }
 
-    /** Completion callback (see Job::done for the exactly-once
-     * contract and the allocation note). */
+    /** Completion callback (see detail::Job::done for the
+     * exactly-once contract and the allocation note). */
     JobSpec &
     onDone(std::function<void(const JobResult &)> fn)
     {
@@ -202,47 +229,10 @@ class JobSpec
         return *this;
     }
 
-    /** The spec's storage form (observation). */
-    const Job &job() const { return job_; }
-
   private:
     friend class DispatchService;
-    Job job_;
+    detail::Job job_;
 };
-
-namespace detail {
-
-/** Shared completion state behind a JobHandle. */
-struct JobState
-{
-    enum Phase { Queued = 0, Running = 1, Done = 2, Cancelled = 3 };
-
-    std::uint64_t id = 0;
-    std::atomic<int> phase{Queued};
-    mutable std::mutex mu;
-    mutable std::condition_variable cv;
-    JobResult result; ///< valid once phase is Done or Cancelled
-};
-
-/**
- * A job in flight, with its retry state.  The shell -- the strings,
- * vectors, and argument slots -- is recycled through the worker
- * shard's BufferPool, so steady-state submission reuses capacity
- * instead of allocating.
- */
-struct QueuedJob
-{
-    Job job;
-    std::shared_ptr<JobState> state;
-    unsigned attempt = 0; ///< failed attempts so far
-    std::vector<unsigned> excluded; ///< devices that failed it
-    sim::TimeNs backoffNs = 0; ///< charged virtual backoff
-    sim::TimeNs spentNs = 0; ///< device time across attempts
-    /** Destination device's clock when (re-)enqueued (queue span). */
-    sim::TimeNs enqueuedNs = 0;
-};
-
-} // namespace detail
 
 /**
  * Caller-side handle of a submitted job: wait for it, read its
@@ -289,7 +279,7 @@ class JobHandle
     /** Whether the handle refers to a job. */
     bool valid() const { return static_cast<bool>(state_); }
 
-    /** The job id assigned by submit(). */
+    /** The job id assigned by submitMany(). */
     std::uint64_t id() const { return state_ ? state_->id : 0; }
 
     /** Whether the job has finished (done or cancelled). */

@@ -373,6 +373,67 @@ TEST(Batch, FusesSmallJobsWithExactPerJobOutputSlices)
 }
 
 /**
+ * A fused member completes like a solo job: one whose share of the
+ * fused device time exceeds its deadline fails with DeadlineExceeded
+ * on its first attempt, without a retry, while the other members
+ * complete.  Device accounting counts every member of the launch that
+ * ran, the late one included, exactly as for a solo job.
+ */
+TEST(Batch, FusedMemberPastItsDeadlineFailsAlone)
+{
+    store::SelectionStore store;
+    ServiceConfig cfg;
+    cfg.batch.maxJobs = 8;
+    DispatchService svc(store, cfg);
+    svc.addDevice(std::make_unique<sim::CpuDevice>());
+    ASSERT_TRUE(installPool(svc, "bk").ok());
+    svc.start();
+
+    // All in bucket 6 (64..127 units), none profilable; member 2's
+    // budget of 1 ns is below any device-time share.
+    const std::array<std::uint64_t, 4> units = {96, 104, 112, 120};
+    constexpr std::size_t kLate = 2;
+    std::vector<kdp::Buffer<std::int32_t>> outs;
+    for (std::uint64_t u : units)
+        outs.emplace_back(u, kdp::MemSpace::Global, "bt.out");
+    std::vector<JobSpec> specs(units.size());
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        specs[i].signature("bk").units(units[i]);
+        specs[i].mutableArgs().add(outs[i]).add(
+            static_cast<std::int64_t>(units[i]));
+    }
+    specs[kLate].deadline(1);
+
+    auto &m = svc.metrics();
+    const std::uint64_t timeouts = m.counterValue("recover.timeouts");
+    auto handles = svc.submitMany(specs);
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+        const JobResult &r = handles[i].result();
+        EXPECT_NE(r.batchedWith, 0u) << "job " << i;
+        EXPECT_TRUE(r.report.fused) << "job " << i;
+        EXPECT_EQ(r.attempts, 1u) << "job " << i;
+        if (i == kLate) {
+            EXPECT_EQ(r.status.code(),
+                      support::StatusCode::DeadlineExceeded);
+        } else {
+            ASSERT_TRUE(r.ok()) << r.status.toString();
+            expectDigestOutput(outs[i], units[i]);
+        }
+    }
+    svc.drain();
+    EXPECT_EQ(m.counterValue("recover.timeouts"), timeouts + 1);
+    EXPECT_EQ(m.counterValue("recover.retries"), 0u);
+    EXPECT_EQ(m.counterValue("batch.launches"), 1u);
+    EXPECT_EQ(m.counterValue("jobs.completed"), units.size() - 1);
+    EXPECT_EQ(m.counterValue("jobs.failed"), 1u);
+    EXPECT_EQ(m.counterValue(support::MetricsRegistry::labeled(
+                  "device.jobs", "device", "dev0")),
+              units.size());
+    EXPECT_EQ(m.histogram("job.device_ns").count(), units.size());
+    svc.stop();
+}
+
+/**
  * Profilable jobs batch only once their key's record exists: the cold
  * head profiles solo, and a later burst fuses warm behind the stored
  * winner with zero profiled units.

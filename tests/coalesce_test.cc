@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "serve/dispatch_service.hh"
+#include "submit_one.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "support/rng.hh"
 
@@ -155,11 +156,11 @@ runStream(bool concurrent, bool coalesce)
                                       "dup.out");
         for (unsigned j = 0; j < kJobsPerThread; ++j) {
             out.fill(-1);
-            Job job;
-            job.signature = sigOf(stream[t][j]);
-            job.units = kUnits;
-            job.args.add(out).add(static_cast<std::int64_t>(kUnits));
-            JobHandle h = svc.submit(std::move(job));
+            JobSpec job;
+            job.signature(sigOf(stream[t][j]));
+            job.units(kUnits);
+            job.mutableArgs().add(out).add(static_cast<std::int64_t>(kUnits));
+            JobHandle h = submitOne(svc, job);
             const JobResult &r = h.result();
             ASSERT_TRUE(r.ok()) << r.status.toString();
             {

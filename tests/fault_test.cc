@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "serve/dispatch_service.hh"
+#include "submit_one.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
 
@@ -99,16 +100,16 @@ struct Probe
     }
 };
 
-Job
+JobSpec
 makeJob(Probe &p, std::int32_t marker)
 {
-    Job job;
-    job.signature = p.sig;
-    job.units = p.units;
-    job.args = p.args;
-    job.ensureRegistered = [&p, marker](runtime::Runtime &rt) {
+    JobSpec job;
+    job.signature(p.sig);
+    job.units(p.units);
+    job.args(p.args);
+    job.ensureRegistered([&p, marker](runtime::Runtime &rt) {
         registerEquivalentPool(rt, p.sig, marker);
-    };
+    });
     return job;
 }
 
@@ -117,9 +118,9 @@ makeJob(Probe &p, std::int32_t marker)
  * only valid while the handle is alive.
  */
 JobResult
-submitAndWait(DispatchService &svc, Job job)
+submitAndWait(DispatchService &svc, const JobSpec &job)
 {
-    JobHandle h = svc.submit(std::move(job));
+    JobHandle h = submitOne(svc, job);
     return h.result();
 }
 
@@ -333,8 +334,8 @@ TEST(ServiceFault, DeadlineBudgetStopsRetrying)
     // the (tiny) deadline, so the job gives up as DeadlineExceeded.
     faults.failNext();
     Probe p("k", 2048);
-    Job job = makeJob(p, 6);
-    job.deadlineNs = 1;
+    JobSpec job = makeJob(p, 6);
+    job.deadline(1);
     const JobResult r = submitAndWait(svc, std::move(job));
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status.code(), support::StatusCode::DeadlineExceeded);
@@ -485,7 +486,7 @@ runStorm(bool serial)
         probes.push_back(std::make_unique<Probe>(
             "s" + std::to_string(i % 4), units));
         handles.push_back(
-            svc.submit(makeJob(*probes.back(), marker)));
+            submitOne(svc, makeJob(*probes.back(), marker)));
         if (serial)
             handles.back().wait();
     }

@@ -24,6 +24,7 @@
 #include "dysel/runtime.hh"
 #include "dysel/store/selection_store.hh"
 #include "serve/dispatch_service.hh"
+#include "submit_one.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
 
@@ -103,7 +104,6 @@ guardedOpt(runtime::ProfilingMode mode = runtime::ProfilingMode::Swap)
 {
     runtime::LaunchOptions opt;
     opt.mode = mode;
-    opt.modeExplicit = true;
     opt.orch = runtime::Orchestration::Sync;
     opt.profileRepeats = 1;
     return opt;
@@ -565,17 +565,17 @@ registerStormPool(runtime::Runtime &rt, const std::string &sig,
     rt.setKernelInfo(sig, floatInfo(sig));
 }
 
-Job
+JobSpec
 makeStormJob(GProbe &p, float marker, BadRan *ran)
 {
-    Job job;
-    job.signature = p.sig;
-    job.units = p.units;
-    job.args = p.args;
-    job.opt = guardedOpt();
-    job.ensureRegistered = [&p, marker, ran](runtime::Runtime &rt) {
+    JobSpec job;
+    job.signature(p.sig);
+    job.units(p.units);
+    job.args(p.args);
+    job.options(guardedOpt());
+    job.ensureRegistered([&p, marker, ran](runtime::Runtime &rt) {
         registerStormPool(rt, p.sig, marker, ran);
-    };
+    });
     return job;
 }
 
@@ -621,18 +621,18 @@ TEST(ServiceGuard, BlacklistedStoredWinnerIsDemotedToAMiss)
     ASSERT_TRUE(store.lookup("k", fp, 2048).has_value());
 
     GProbe p("k", 2048);
-    Job job;
-    job.signature = "k";
-    job.units = p.units;
-    job.args = p.args;
-    job.opt = guardedOpt();
-    job.ensureRegistered = [&p](runtime::Runtime &rt) {
+    JobSpec job;
+    job.signature("k");
+    job.units(p.units);
+    job.args(p.args);
+    job.options(guardedOpt());
+    job.ensureRegistered([&p](runtime::Runtime &rt) {
         rt.removeKernel("k");
         rt.addKernel("k", floatKernel("v-good-slow", 7.0f, 4000));
         rt.addKernel("k", floatKernel("v-bad", 7.0f, 100));
         rt.setKernelInfo("k", floatInfo("k"));
-    };
-    JobHandle h = svc.submit(std::move(job));
+    });
+    JobHandle h = submitOne(svc, job);
     const JobResult r = h.result();
     ASSERT_TRUE(r.ok()) << r.status.toString();
 
@@ -670,7 +670,7 @@ TEST(ServiceGuard, AcceptanceStormQuarantinesExactlyTheBadVariants)
         probes.push_back(std::make_unique<GProbe>(
             "s" + std::to_string(i % 4), units));
         handles.push_back(
-            svc.submit(makeStormJob(*probes.back(), marker, nullptr)));
+            submitOne(svc, makeStormJob(*probes.back(), marker, nullptr)));
         handles.back().wait();
     }
     svc.drain();
@@ -758,7 +758,7 @@ TEST(ServiceGuard, AcceptanceStormQuarantinesExactlyTheBadVariants)
         probes2.push_back(std::make_unique<GProbe>(
             "s" + std::to_string(i), 5000));
         JobHandle h =
-            svc2.submit(makeStormJob(*probes2.back(), marker, &ran));
+            submitOne(svc2, makeStormJob(*probes2.back(), marker, &ran));
         const JobResult r = h.result();
         ASSERT_TRUE(r.ok()) << r.status.toString();
         EXPECT_TRUE(r.report.profiled);
@@ -770,7 +770,7 @@ TEST(ServiceGuard, AcceptanceStormQuarantinesExactlyTheBadVariants)
 
     // The original size bucket warm-starts on the stored winner.
     GProbe warm("s0", units);
-    JobHandle h = svc2.submit(makeStormJob(warm, 10.0f, &ran));
+    JobHandle h = submitOne(svc2, makeStormJob(warm, 10.0f, &ran));
     const JobResult r = h.result();
     ASSERT_TRUE(r.ok()) << r.status.toString();
     EXPECT_TRUE(r.warmStart);

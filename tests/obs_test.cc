@@ -26,6 +26,7 @@
 
 #include "serve/admin/admin_plane.hh"
 #include "serve/dispatch_service.hh"
+#include "submit_one.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
 #include "support/json.hh"
@@ -205,12 +206,12 @@ TEST(AdminPlane, EveryEndpointAnswersDuringAFaultInjectedStorm)
             kdp::Buffer<std::int32_t> out(kUnits, kdp::MemSpace::Global,
                                           "obs.out");
             for (std::uint64_t j = 0; j < kJobsPerSubmitter; ++j) {
-                Job job;
-                job.signature = sigs[rng.nextBelow(sigs.size())];
-                job.units = kUnits;
-                job.args.add(out).add(
+                JobSpec job;
+                job.signature(sigs[rng.nextBelow(sigs.size())]);
+                job.units(kUnits);
+                job.mutableArgs().add(out).add(
                     static_cast<std::int64_t>(kUnits));
-                JobHandle h = svc.submit(std::move(job));
+                JobHandle h = submitOne(svc, job);
                 (void)h.result(); // closed loop
             }
             submittersDone.fetch_add(1, std::memory_order_release);
@@ -326,12 +327,12 @@ TEST(SelectionAudit, CountersReconcileOneToOneAgainstTracerInstants)
             kdp::Buffer<std::int32_t> out(kUnits, kdp::MemSpace::Global,
                                           "aud.out");
             for (std::uint64_t j = 0; j < kJobsPerSubmitter; ++j) {
-                Job job;
-                job.signature = sigs[rng.nextBelow(sigs.size())];
-                job.units = kUnits;
-                job.args.add(out).add(
+                JobSpec job;
+                job.signature(sigs[rng.nextBelow(sigs.size())]);
+                job.units(kUnits);
+                job.mutableArgs().add(out).add(
                     static_cast<std::int64_t>(kUnits));
-                JobHandle h = svc.submit(std::move(job));
+                JobHandle h = submitOne(svc, job);
                 (void)h.result();
             }
         });
@@ -397,11 +398,11 @@ TEST(SelectionAudit, ShadowProbesNeverPolluteTheDriftBaseline)
     kdp::Buffer<std::int32_t> out(kUnits, kdp::MemSpace::Global,
                                   "drift.out");
     for (unsigned j = 0; j < kWarmHits; ++j) {
-        Job job;
-        job.signature = "drift0";
-        job.units = kUnits;
-        job.args.add(out).add(static_cast<std::int64_t>(kUnits));
-        JobHandle h = svc.submit(std::move(job));
+        JobSpec job;
+        job.signature("drift0");
+        job.units(kUnits);
+        job.mutableArgs().add(out).add(static_cast<std::int64_t>(kUnits));
+        JobHandle h = submitOne(svc, job);
         ASSERT_TRUE(h.result().ok()) << h.result().status.toString();
     }
     svc.drain();

@@ -15,6 +15,7 @@
 
 #include "dysel/predict/predictor.hh"
 #include "serve/dispatch_service.hh"
+#include "submit_one.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
 
@@ -389,11 +390,11 @@ struct Harness
         kdp::Buffer<std::int32_t> out(units, kdp::MemSpace::Global,
                                       "pk.out");
         out.fill(-1);
-        Job job;
-        job.signature = "pk";
-        job.units = units;
-        job.args.add(out).add(static_cast<std::int64_t>(units));
-        JobResult res = svc.submit(std::move(job)).result();
+        JobSpec job;
+        job.signature("pk");
+        job.units(units);
+        job.mutableArgs().add(out).add(static_cast<std::int64_t>(units));
+        JobResult res = submitOne(svc, job).result();
         if (res.ok()) {
             for (std::uint64_t u = 0; u < units; ++u)
                 EXPECT_EQ(out.at(u), static_cast<std::int32_t>(3 * u + 7))
@@ -533,11 +534,11 @@ TEST(PredictService, BelowThresholdFallsBackToProfiling)
     for (int round = 0; round < 2; ++round) {
         kdp::Buffer<std::int32_t> out(kUnits, kdp::MemSpace::Global,
                                       "pk.out");
-        Job job;
-        job.signature = "pk";
-        job.units = kUnits;
-        job.args.add(out).add(static_cast<std::int64_t>(kUnits));
-        const JobResult res = svc.submit(std::move(job)).result();
+        JobSpec job;
+        job.signature("pk");
+        job.units(kUnits);
+        job.mutableArgs().add(out).add(static_cast<std::int64_t>(kUnits));
+        const JobResult res = submitOne(svc, job).result();
         ASSERT_TRUE(res.ok());
         EXPECT_FALSE(res.predicted);
         if (round == 1)

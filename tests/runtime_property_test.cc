@@ -97,7 +97,6 @@ TEST_P(RuntimeSweep, CoverageSelectionAndSpaceBounds)
 
     LaunchOptions opt;
     opt.mode = c.mode;
-    opt.modeExplicit = true;
     opt.orch = c.orch;
     const auto report = rt.launchKernel("k", units, args, opt);
 

@@ -350,7 +350,6 @@ TEST(Runtime, ExplicitModeOverridesAnalysis)
     f.rt.setKernelInfo("k", regularInfo("k")); // would be Fully
     LaunchOptions opt;
     opt.mode = ProfilingMode::Swap;
-    opt.modeExplicit = true;
     auto report = f.rt.launchKernel("k", 2048, f.args, opt);
     EXPECT_EQ(report.mode, ProfilingMode::Swap);
     EXPECT_EQ(f.countMarker(2, 2048), 2048u);

@@ -15,6 +15,7 @@
 
 #include "serve/dispatch_service.hh"
 #include "sim/cpu/cpu_device.hh"
+#include "submit_one.hh"
 
 using namespace dysel;
 using namespace dysel::serve;
@@ -91,23 +92,21 @@ struct Probe
     }
 };
 
-Job
+JobSpec
 makeJob(Probe &p, std::mutex &mu, std::uint64_t slow_flops = 4000,
         std::uint64_t fast_flops = 100)
 {
-    Job job;
-    job.signature = p.sig;
-    job.units = p.units;
-    job.args = p.args;
-    job.ensureRegistered = [&p, slow_flops,
-                            fast_flops](runtime::Runtime &rt) {
+    JobSpec job;
+    job.signature(p.sig).units(p.units).args(p.args);
+    job.ensureRegistered([&p, slow_flops,
+                          fast_flops](runtime::Runtime &rt) {
         registerPool(rt, p.sig, slow_flops, fast_flops);
-    };
-    job.done = [&p, &mu](const JobResult &r) {
+    });
+    job.onDone([&p, &mu](const JobResult &r) {
         std::lock_guard<std::mutex> lock(mu);
         p.result = r;
         p.finished = true;
-    };
+    });
     return job;
 }
 
@@ -145,7 +144,7 @@ TEST(DispatchService, SmokeMatchesSingleRuntime)
         probes.push_back(
             std::make_unique<Probe>("k" + std::to_string(i), units));
     for (auto &p : probes)
-        f.svc.submit(makeJob(*p, f.mu));
+        submitOne(f.svc, makeJob(*p, f.mu));
     f.svc.stop();
 
     for (auto &p : probes) {
@@ -186,14 +185,14 @@ TEST(DispatchService, SecondLaunchWarmStartsFromStore)
 {
     ServiceFixture f;
     Probe first("k", 2048);
-    f.svc.submit(makeJob(first, f.mu));
+    submitOne(f.svc, makeJob(first, f.mu));
     f.svc.drain();
     ASSERT_TRUE(first.result.ok()) << first.result.status.toString();
     EXPECT_FALSE(first.result.warmStart);
     EXPECT_TRUE(first.result.report.profiled);
 
     Probe second("k", 2048);
-    f.svc.submit(makeJob(second, f.mu));
+    submitOne(f.svc, makeJob(second, f.mu));
     f.svc.drain();
     ASSERT_TRUE(second.result.ok()) << second.result.status.toString();
     EXPECT_TRUE(second.result.warmStart);
@@ -215,11 +214,11 @@ TEST(DispatchService, ChangedSizeBucketReprofiles)
 {
     ServiceFixture f;
     Probe small("k", 2048); // bucket 11
-    f.svc.submit(makeJob(small, f.mu));
+    submitOne(f.svc, makeJob(small, f.mu));
     f.svc.drain();
 
     Probe large("k", 8192); // bucket 13: a store miss
-    f.svc.submit(makeJob(large, f.mu));
+    submitOne(f.svc, makeJob(large, f.mu));
     f.svc.drain();
     ASSERT_TRUE(large.result.ok()) << large.result.status.toString();
     EXPECT_FALSE(large.result.warmStart);
@@ -237,7 +236,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
     // throughput baseline.
     for (int i = 0; i < 3; ++i) {
         Probe p("k", 2048);
-        f.svc.submit(makeJob(p, f.mu));
+        submitOne(f.svc, makeJob(p, f.mu));
         f.svc.drain();
         ASSERT_TRUE(p.result.ok()) << p.result.status.toString();
         EXPECT_EQ(p.result.warmStart, i > 0);
@@ -247,7 +246,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
     // slower.  The plain run deviates from the stored baseline beyond
     // the drift factor, quarantining the winner...
     Probe shifted("k", 2048);
-    f.svc.submit(makeJob(shifted, f.mu, 4000, 2000));
+    submitOne(f.svc, makeJob(shifted, f.mu, 4000, 2000));
     f.svc.drain();
     ASSERT_TRUE(shifted.result.ok()) << shifted.result.status.toString();
     EXPECT_TRUE(shifted.result.warmStart); // served before detection
@@ -256,7 +255,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
 
     // ...so the record still serves warm, but with the runner-up.
     Probe fallback("k", 2048);
-    f.svc.submit(makeJob(fallback, f.mu, 4000, 2000));
+    submitOne(f.svc, makeJob(fallback, f.mu, 4000, 2000));
     f.svc.drain();
     ASSERT_TRUE(fallback.result.ok())
         << fallback.result.status.toString();
@@ -268,7 +267,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
 
     // The second cooldown observation invalidates the record...
     Probe cooled("k", 2048);
-    f.svc.submit(makeJob(cooled, f.mu, 4000, 2000));
+    submitOne(f.svc, makeJob(cooled, f.mu, 4000, 2000));
     f.svc.drain();
     ASSERT_TRUE(cooled.result.ok()) << cooled.result.status.toString();
     EXPECT_EQ(f.store.driftInvalidations(), 0u);
@@ -278,7 +277,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
     // ...so the next launch re-profiles against the new behaviour,
     // and the once-quarantined pool competes from scratch.
     Probe after("k", 2048);
-    f.svc.submit(makeJob(after, f.mu, 4000, 2000));
+    submitOne(f.svc, makeJob(after, f.mu, 4000, 2000));
     f.svc.drain();
     ASSERT_TRUE(after.result.ok()) << after.result.status.toString();
     EXPECT_FALSE(after.result.warmStart);
@@ -289,9 +288,9 @@ TEST(DispatchService, UnknownSignatureFailsTheJobNotTheService)
 {
     ServiceFixture f;
     Probe bad("unregistered", 2048);
-    Job job = makeJob(bad, f.mu);
-    job.ensureRegistered = nullptr; // nothing registers the kernel
-    f.svc.submit(job);
+    JobSpec job = makeJob(bad, f.mu);
+    job.ensureRegistered(nullptr); // nothing registers the kernel
+    submitOne(f.svc, job);
     f.svc.drain();
     ASSERT_TRUE(bad.finished);
     EXPECT_FALSE(bad.result.ok());
@@ -306,7 +305,7 @@ TEST(DispatchService, UnknownSignatureFailsTheJobNotTheService)
 
     // The worker survives and serves the next job.
     Probe good("k", 2048);
-    f.svc.submit(makeJob(good, f.mu));
+    submitOne(f.svc, makeJob(good, f.mu));
     f.svc.drain();
     ASSERT_TRUE(good.result.ok()) << good.result.status.toString();
 }
@@ -318,14 +317,14 @@ TEST(DispatchService, SubmitBeforeStartThrows)
     svc.addDevice(std::make_unique<sim::CpuDevice>());
     std::mutex mu;
     Probe p("k", 2048);
-    EXPECT_THROW(svc.submit(makeJob(p, mu)), std::logic_error);
+    EXPECT_THROW(submitOne(svc, makeJob(p, mu)), std::logic_error);
 }
 
 TEST(DispatchService, HandleWaitsAndExposesResult)
 {
     ServiceFixture f;
     Probe p("k", 2048);
-    JobHandle h = f.svc.submit(makeJob(p, f.mu));
+    JobHandle h = submitOne(f.svc, makeJob(p, f.mu));
     ASSERT_TRUE(h.valid());
     EXPECT_GT(h.id(), 0u);
     const JobResult &r = h.result(); // blocks until completion
@@ -352,16 +351,15 @@ TEST(DispatchService, CancelPendingJobBeforeDispatch)
     // Job 1 parks the single worker inside ensureRegistered, so job 2
     // is guaranteed to still be queued when it is cancelled.
     Probe blocker("k", 2048);
-    Job job1 = makeJob(blocker, f.mu);
-    auto inner = job1.ensureRegistered;
-    job1.ensureRegistered = [inner, released](runtime::Runtime &rt) {
+    JobSpec job1 = makeJob(blocker, f.mu);
+    job1.ensureRegistered([&blocker, released](runtime::Runtime &rt) {
         released.wait();
-        inner(rt);
-    };
-    JobHandle h1 = f.svc.submit(std::move(job1));
+        registerPool(rt, blocker.sig, 4000, 100);
+    });
+    JobHandle h1 = submitOne(f.svc, job1);
 
     Probe victim("k", 2048);
-    JobHandle h2 = f.svc.submit(makeJob(victim, f.mu));
+    JobHandle h2 = submitOne(f.svc, makeJob(victim, f.mu));
     EXPECT_TRUE(h2.cancel());
     EXPECT_FALSE(h2.cancel()); // idempotence: already cancelled
     EXPECT_TRUE(h2.done());
@@ -388,7 +386,7 @@ TEST(DispatchService, MetricsExportCoversJobsAndStore)
     ServiceFixture f;
     for (int i = 0; i < 2; ++i) {
         Probe p("k", 2048);
-        f.svc.submit(makeJob(p, f.mu));
+        submitOne(f.svc, makeJob(p, f.mu));
         f.svc.drain();
     }
     const std::string text = f.svc.metrics().renderText();

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "serve/dispatch_service.hh"
+#include "submit_one.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
 #include "support/rng.hh"
@@ -122,6 +123,10 @@ TEST(StressSoak, SixteenSubmittersAgainstFourFaultyDevices)
         std::uint64_t cancelWon = 0;
         std::vector<std::uint64_t> resultIds;
         std::vector<std::uint64_t> callbackIds;
+        /// Guards callbackIds across workers.  It lives here, not on
+        /// the submitter's stack: a cancelled job's callback fires on
+        /// a worker after the submitter may have returned.
+        std::mutex cbMu;
     };
     std::vector<SubmitterTally> tallies(kSubmitters);
 
@@ -138,7 +143,6 @@ TEST(StressSoak, SixteenSubmittersAgainstFourFaultyDevices)
                 outs.emplace_back(kBaseUnits * 4, kdp::MemSpace::Global,
                                   "stress.out");
             std::vector<JobHandle> window;
-            std::mutex cbMu; ///< guards callbackIds across workers
 
             auto settle = [&] {
                 for (auto &h : window) {
@@ -162,18 +166,18 @@ TEST(StressSoak, SixteenSubmittersAgainstFourFaultyDevices)
             };
 
             for (std::uint64_t j = 0; j < kJobsPerSubmitter; ++j) {
-                Job job;
-                job.signature = sigs[rng.nextBelow(sigs.size())];
+                JobSpec job;
+                job.signature(sigs[rng.nextBelow(sigs.size())]);
                 const std::uint64_t units = kBaseUnits
                                             << rng.nextBelow(3);
-                job.units = units;
-                job.args.add(outs[window.size()])
+                job.units(units);
+                job.mutableArgs().add(outs[window.size()])
                     .add(static_cast<std::int64_t>(units));
-                job.done = [&cbMu, &tally](const JobResult &r) {
-                    std::lock_guard<std::mutex> lock(cbMu);
+                job.onDone([&tally](const JobResult &r) {
+                    std::lock_guard<std::mutex> lock(tally.cbMu);
                     tally.callbackIds.push_back(r.id);
-                };
-                window.push_back(svc.submit(std::move(job)));
+                });
+                window.push_back(submitOne(svc, job));
 
                 // Occasionally try to withdraw the job just queued;
                 // a won race must terminate it as Cancelled.

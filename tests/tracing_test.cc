@@ -24,6 +24,7 @@
 #include "dysel/predict/predictor.hh"
 #include "dysel/runtime.hh"
 #include "serve/dispatch_service.hh"
+#include "submit_one.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
 #include "support/json.hh"
@@ -98,7 +99,6 @@ guardedOpt()
 {
     runtime::LaunchOptions opt;
     opt.mode = runtime::ProfilingMode::Swap;
-    opt.modeExplicit = true;
     opt.orch = runtime::Orchestration::Sync;
     opt.profileRepeats = 1;
     return opt;
@@ -119,17 +119,17 @@ struct Probe
     }
 };
 
-Job
+JobSpec
 stormJob(Probe &p, const std::string &sig, float marker)
 {
-    Job job;
-    job.signature = sig;
-    job.units = p.units;
-    job.args = p.args;
-    job.opt = guardedOpt();
-    job.ensureRegistered = [&p, sig, marker](runtime::Runtime &rt) {
+    JobSpec job;
+    job.signature(sig);
+    job.units(p.units);
+    job.args(p.args);
+    job.options(guardedOpt());
+    job.ensureRegistered([&p, sig, marker](runtime::Runtime &rt) {
         registerPool(rt, sig, marker);
-    };
+    });
     return job;
 }
 
@@ -300,7 +300,7 @@ TEST(TracingService, CorrelationIdPropagatesServiceToRuntimeToDevice)
     svc.start();
 
     Probe p(2048);
-    JobHandle h = svc.submit(stormJob(p, "k", 5.0f));
+    JobHandle h = submitOne(svc, stormJob(p, "k", 5.0f));
     const JobResult r = h.result();
     ASSERT_TRUE(r.ok()) << r.status.toString();
     svc.stop();
@@ -353,7 +353,7 @@ TEST(TracingService, DeterministicStormLifecycleUnderOneCorrelationId)
     svc.start();
 
     Probe p(2048);
-    JobHandle h = svc.submit(stormJob(p, "k", 5.0f));
+    JobHandle h = submitOne(svc, stormJob(p, "k", 5.0f));
     const JobResult r = h.result();
     ASSERT_TRUE(r.ok()) << r.status.toString();
     EXPECT_EQ(r.attempts, 2u);
@@ -434,7 +434,7 @@ TEST(TracingService, FailingJobCarriesFlightRecorderPayload)
     svc.start();
 
     Probe p(2048);
-    JobHandle h = svc.submit(stormJob(p, "k", 5.0f));
+    JobHandle h = submitOne(svc, stormJob(p, "k", 5.0f));
     const JobResult r = h.result();
     svc.stop();
 
@@ -456,7 +456,7 @@ TEST(TracingService, FailingJobCarriesFlightRecorderPayload)
     DispatchService svc2(store2);
     svc2.addDevice(std::make_unique<sim::CpuDevice>());
     svc2.start();
-    const JobResult ok = svc2.submit(stormJob(p2, "k", 5.0f)).result();
+    const JobResult ok = submitOne(svc2, stormJob(p2, "k", 5.0f)).result();
     svc2.stop();
     ASSERT_TRUE(ok.ok());
     EXPECT_FALSE(ok.status.hasPayload());
@@ -538,7 +538,7 @@ TEST(TracingService, PredictInstantsCorrelateAndReconcileWithCounters)
     svc.start();
 
     Probe p1(2048);
-    JobHandle h1 = svc.submit(stormJob(p1, "k", 5.0f));
+    JobHandle h1 = submitOne(svc, stormJob(p1, "k", 5.0f));
     const JobResult r1 = h1.result();
     ASSERT_TRUE(r1.ok()) << r1.status.toString();
     EXPECT_FALSE(r1.predicted);
@@ -546,7 +546,7 @@ TEST(TracingService, PredictInstantsCorrelateAndReconcileWithCounters)
 
     store.clear();
     Probe p2(2048);
-    JobHandle h2 = svc.submit(stormJob(p2, "k", 5.0f));
+    JobHandle h2 = submitOne(svc, stormJob(p2, "k", 5.0f));
     const JobResult r2 = h2.result();
     ASSERT_TRUE(r2.ok()) << r2.status.toString();
     EXPECT_TRUE(r2.predicted);
@@ -555,7 +555,7 @@ TEST(TracingService, PredictInstantsCorrelateAndReconcileWithCounters)
     store.clear();
     faults.failNext();
     Probe p3(2048);
-    JobHandle h3 = svc.submit(stormJob(p3, "k", 5.0f));
+    JobHandle h3 = submitOne(svc, stormJob(p3, "k", 5.0f));
     const JobResult r3 = h3.result();
     ASSERT_TRUE(r3.ok()) << r3.status.toString();
     EXPECT_EQ(r3.attempts, 2u);
