@@ -1,12 +1,16 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator substrate itself:
- * cache model throughput, trace-replay cost models, and the event
- * engine.  These bound the wall-clock cost of the reproduction (the
+ * cache model throughput, trace-replay cost models, the event
+ * engine, and the whole device path of a fused launch.  These bound the wall-clock cost of the reproduction (the
  * simulated kernels execute millions of traced accesses per figure).
  */
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
+#include "dysel/runtime.hh"
 #include "kdp/context.hh"
 #include "sim/cache/cache.hh"
 #include "sim/cpu/cpu_cost_model.hh"
@@ -220,5 +224,62 @@ BM_TraceRecording(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64 * 64);
 }
 BENCHMARK(BM_TraceRecording);
+
+/**
+ * Host cost of a tiny-unit fused launch on the CPU device, per
+ * physical work-group: eight members of 64 one-unit groups of an 8-lane
+ * kernel, packed 8 member groups to a physical group (64 physical
+ * groups), through Runtime::launchFused.  The `ns_per_group` counter
+ * covers kernel bodies, trace recording, cost-model replay, dispatch
+ * and events.
+ */
+static void
+BM_CpuDeviceFusedLaunch(benchmark::State &state)
+{
+    constexpr std::uint32_t lanes = 8;
+    constexpr std::uint64_t units = 64;
+    constexpr std::size_t members = 8;
+    kdp::KernelVariant v;
+    v.name = "tiny";
+    v.groupSize = lanes;
+    v.waFactor = 1;
+    v.fn = [](kdp::GroupCtx &g, const kdp::KernelArgs &a) {
+        const auto &in = a.buf<float>(0);
+        auto &out = a.buf<float>(1);
+        const std::uint64_t u = g.unitBase();
+        for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+            const std::uint64_t i = u * lanes + lane;
+            g.store(out, i, g.load(in, i, lane) + 1.0f, lane);
+            g.flops(lane, 1);
+        }
+    };
+    CpuDevice dev;
+    runtime::Runtime rt(dev);
+    rt.addKernel("tiny", std::move(v));
+    std::vector<std::unique_ptr<kdp::Buffer<float>>> bufs;
+    std::vector<kdp::KernelArgs> args(members);
+    std::vector<runtime::FusedSlice> slices;
+    for (std::size_t m = 0; m < members; ++m) {
+        for (int k = 0; k < 2; ++k)
+            bufs.push_back(std::make_unique<kdp::Buffer<float>>(
+                units * lanes, kdp::MemSpace::Global, "b"));
+        args[m].add(*bufs[2 * m]).add(*bufs[2 * m + 1]);
+        slices.push_back({&args[m], units, 0});
+    }
+    runtime::LaunchReport report;
+    for (auto _ : state) {
+        if (!rt.launchFused("tiny", 0, slices, runtime::LaunchOptions(),
+                            report)
+                 .ok())
+            state.SkipWithError("launchFused failed");
+        benchmark::DoNotOptimize(bufs[1]->host());
+        benchmark::ClobberMemory();
+    }
+    const double groups = static_cast<double>(units * members / lanes);
+    state.counters["ns_per_group"] = benchmark::Counter(
+        groups * 1e-9, benchmark::Counter::kIsIterationInvariantRate
+                           | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CpuDeviceFusedLaunch);
 
 BENCHMARK_MAIN();

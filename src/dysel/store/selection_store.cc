@@ -178,6 +178,21 @@ blacklistFromJson(const Json &jb)
 
 SelectionStore::SelectionStore(StoreConfig cfg) : cfg_(cfg) {}
 
+SelectionRecord &
+SelectionStore::recordAt(RecordMap &map, DeviceSet &devs,
+                         std::string_view signature,
+                         const std::string &device, unsigned bucket)
+{
+    auto it = map.find(KeyView{signature, device, bucket});
+    if (it == map.end()) {
+        const std::string &interned = *devs.insert(device).first;
+        it = map.emplace(Key{std::string(signature), &interned, bucket},
+                         SelectionRecord())
+                 .first;
+    }
+    return it->second;
+}
+
 fed::Stamp
 SelectionStore::bumpLocked()
 {
@@ -198,7 +213,7 @@ SelectionStore::lookup(const std::string &signature,
                        std::uint64_t units) const
 {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = recs.find(Key{signature, device, bucketOf(units)});
+    auto it = recs.find(KeyView{signature, device, bucketOf(units)});
     if (it == recs.end() || !it->second.valid) {
         ++misses_;
         return std::nullopt;
@@ -213,7 +228,7 @@ SelectionStore::peek(const std::string &signature,
                      std::uint64_t units) const
 {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = recs.find(Key{signature, device, bucketOf(units)});
+    auto it = recs.find(KeyView{signature, device, bucketOf(units)});
     if (it == recs.end() || !it->second.valid)
         return std::nullopt;
     return it->second;
@@ -225,7 +240,7 @@ SelectionStore::noteServed(const std::string &signature,
                            std::uint64_t jobs)
 {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = recs.find(Key{signature, device, bucketOf(units)});
+    auto it = recs.find(KeyView{signature, device, bucketOf(units)});
     if (it == recs.end() || !it->second.valid)
         return;
     it->second.launches += jobs;
@@ -245,7 +260,7 @@ SelectionStore::recordProfile(const std::string &device,
         std::lock_guard<std::mutex> lock(mu);
         const unsigned bucket = bucketOf(report.totalUnits);
         SelectionRecord &rec =
-            recs[Key{report.signature, device, bucket}];
+            recordAt(recs, devices, report.signature, device, bucket);
         rec.signature = report.signature;
         rec.device = device;
         rec.bucket = bucket;
@@ -300,7 +315,8 @@ SelectionStore::seedPrediction(const std::string &signature,
         return;
     std::lock_guard<std::mutex> lock(mu);
     const unsigned bucket = bucketOf(units);
-    SelectionRecord &rec = recs[Key{signature, device, bucket}];
+    SelectionRecord &rec =
+        recordAt(recs, devices, signature, device, bucket);
     if (rec.valid && !rec.signature.empty() && !rec.predicted)
         return; // a measured record outranks any prediction
     const std::uint64_t launches = rec.launches;
@@ -384,7 +400,7 @@ SelectionStore::observePlain(const std::string &device,
     {
         std::lock_guard<std::mutex> lock(mu);
         auto it = recs.find(
-            Key{report.signature, device, bucketOf(report.totalUnits)});
+            KeyView{report.signature, device, bucketOf(report.totalUnits)});
         if (it == recs.end() || !it->second.valid)
             return Observation::Ok; // nothing to check against
         SelectionRecord &rec = it->second;
@@ -456,7 +472,7 @@ SelectionStore::reportFailure(const std::string &signature,
     std::function<void(const SelectionRecord &)> observer;
     {
         std::lock_guard<std::mutex> lock(mu);
-        auto it = recs.find(Key{signature, device, bucketOf(units)});
+        auto it = recs.find(KeyView{signature, device, bucketOf(units)});
         if (it == recs.end() || !it->second.valid)
             return Observation::Ok;
         if (it->second.predicted && demotionObserver) {
@@ -476,7 +492,7 @@ SelectionStore::invalidate(const std::string &signature,
                            const std::string &device, unsigned bucket)
 {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = recs.find(Key{signature, device, bucket});
+    auto it = recs.find(KeyView{signature, device, bucket});
     if (it != recs.end()) {
         invalidateLocked(it->second);
         stampLocked(it->second);
@@ -625,6 +641,7 @@ SelectionStore::clear()
 {
     std::lock_guard<std::mutex> lock(mu);
     recs.clear();
+    devices.clear();
     blacklist.clear();
     extensions.clear();
 }
@@ -733,12 +750,12 @@ SelectionStore::applyRemoteRecord(const SelectionRecord &in)
     std::lock_guard<std::mutex> lock(mu);
     if (in.stamp.tick > lamport_)
         lamport_ = in.stamp.tick;
-    Key key{in.signature, in.device, in.bucket};
-    auto it = recs.find(key);
+    auto it = recs.find(KeyView{in.signature, in.device, in.bucket});
     if (it == recs.end()) {
-        SelectionRecord rec = in;
+        SelectionRecord &rec =
+            recordAt(recs, devices, in.signature, in.device, in.bucket);
+        rec = in;
         rec.seq = ++seq_;
-        recs.emplace(std::move(key), std::move(rec));
         return Apply::Applied;
     }
     SelectionRecord &local = it->second;
@@ -862,11 +879,12 @@ SelectionStore::loadJson(const Json &doc)
     if (version < 1 || version > 5)
         throw std::runtime_error(
             "selection store: unsupported document version");
-    std::map<Key, SelectionRecord> loaded;
+    RecordMap loaded;
+    DeviceSet loadedDevices;
     for (const Json &jr : doc.at("records").items()) {
         SelectionRecord rec = recordFromJson(jr);
-        Key key{rec.signature, rec.device, rec.bucket};
-        loaded[std::move(key)] = std::move(rec);
+        recordAt(loaded, loadedDevices, rec.signature, rec.device,
+                 rec.bucket) = std::move(rec);
     }
     std::map<BlKey, BlacklistEntry> loadedBl;
     if (doc.has("blacklist")) {
@@ -895,6 +913,7 @@ SelectionStore::loadJson(const Json &doc)
     // document above must not leave a half-loaded store).
     std::lock_guard<std::mutex> lock(mu);
     recs = std::move(loaded);
+    devices = std::move(loadedDevices);
     blacklist = std::move(loadedBl);
     extensions = std::move(loadedExt);
     // Restore the Lamport clock from the loaded stamps so new local

@@ -22,7 +22,9 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -478,7 +480,62 @@ class SelectionStore
     support::Status loadFile(const std::string &path);
 
   private:
-    using Key = std::tuple<std::string, std::string, unsigned>;
+    /**
+     * A record's (signature, device fingerprint, bucket).  The
+     * fingerprint points into `devices`: a store holds records of a
+     * few devices, so each fingerprint is kept once rather than in
+     * every key.
+     */
+    struct Key
+    {
+        std::string signature;
+        const std::string *device;
+        unsigned bucket;
+    };
+
+    /** A lookup key over the caller's strings: no copy, no interning. */
+    struct KeyView
+    {
+        std::string_view signature;
+        std::string_view device;
+        unsigned bucket;
+    };
+
+    /** Orders keys as (signature, device, bucket) tuples. */
+    struct KeyOrder
+    {
+        using is_transparent = void;
+
+        static KeyView
+        view(const Key &k)
+        {
+            return {k.signature, *k.device, k.bucket};
+        }
+        static KeyView view(const KeyView &k) { return k; }
+
+        template <typename A, typename B>
+        bool
+        operator()(const A &a, const B &b) const
+        {
+            const KeyView x = view(a), y = view(b);
+            return std::tie(x.signature, x.device, x.bucket)
+                   < std::tie(y.signature, y.device, y.bucket);
+        }
+    };
+
+    using RecordMap = std::map<Key, SelectionRecord, KeyOrder>;
+    using DeviceSet = std::set<std::string, std::less<>>;
+
+    /**
+     * The record of (@p signature, @p device, @p bucket) in @p map,
+     * default-constructed when absent; new keys intern their device
+     * in @p devs.  Caller holds the lock (or owns both containers).
+     */
+    static SelectionRecord &recordAt(RecordMap &map, DeviceSet &devs,
+                                     std::string_view signature,
+                                     const std::string &device,
+                                     unsigned bucket);
+
     /** (signature, variant name, device fingerprint). */
     using BlKey = std::tuple<std::string, std::string, std::string>;
 
@@ -509,7 +566,8 @@ class SelectionStore
 
     mutable std::mutex mu;
     StoreConfig cfg_;
-    std::map<Key, SelectionRecord> recs;
+    DeviceSet devices; ///< fingerprints recs keys point to (outlives recs)
+    RecordMap recs;
     std::map<BlKey, BlacklistEntry> blacklist;
     std::map<std::string, ExtSlot> extensions;
     std::function<void(const SelectionRecord &)> profileObserver;

@@ -16,7 +16,9 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "support/logging.hh"
@@ -59,6 +61,13 @@ class Local
 /**
  * Per-work-group execution context; the kernel's window onto the
  * device.
+ *
+ * A context keeps its per-lane counters and scratchpad arena in a
+ * frame of its trace's ContextFrames stack rather than in storage of
+ * its own, so creating one allocates nothing once the trace has
+ * served a group of that size.  Contexts on one trace must close in
+ * the reverse order they opened, which scoped (stack) contexts do;
+ * they can be neither copied nor moved.
  */
 class GroupCtx
 {
@@ -72,9 +81,16 @@ class GroupCtx
     GroupCtx(std::uint64_t group_id, std::uint32_t group_size,
              std::uint64_t wa_factor, WorkGroupTrace *trace)
         : groupId(group_id), groupSz(group_size), waf(wa_factor),
-          rec(trace), laneSeq(group_size, 0), laneBranchSeq(group_size, 0)
+          rec(trace), depth(trace->contexts.push(group_size)),
+          laneSeq(rec->contexts.at(depth).seqs.data()),
+          laneBranchSeq(laneSeq + group_size)
     {
     }
+
+    ~GroupCtx() { rec->contexts.pop(depth); }
+
+    GroupCtx(const GroupCtx &) = delete;
+    GroupCtx &operator=(const GroupCtx &) = delete;
 
     /** This group's id within the variant's grid. */
     std::uint64_t group() const { return groupId; }
@@ -84,6 +100,9 @@ class GroupCtx
      * @p group_id, sharing the trace recorder.  Fused launches use
      * this to hand each member kernel a context whose group id (and
      * hence unitBase/globalId) is local to the member's own grid.
+     * The new context opens its own frame: its sequence counters all
+     * start at 0 and its scratchpad is empty, while this context's
+     * counters and scratchpad are kept for when it resumes.
      */
     GroupCtx
     rebased(std::uint64_t group_id) const
@@ -179,16 +198,19 @@ class GroupCtx
     Local<T>
     allocLocal(std::uint64_t n)
     {
+        std::vector<char> &arena = rec->contexts.at(depth).arena;
         Local<T> l;
         l.offset = arena.size();
         l.count = n;
         arena.resize(arena.size() + n * sizeof(T));
-        rec->scratchBytes = arena.size();
+        arenaData = arena.data();
+        arenaBytes = arena.size();
+        rec->scratchBytes = arenaBytes;
         return l;
     }
 
     /** Scratchpad bytes allocated so far. */
-    std::uint64_t scratchBytes() const { return arena.size(); }
+    std::uint64_t scratchBytes() const { return arenaBytes; }
 
     /** @name Scratchpad access plumbing used by Local<T>. */
     /// @{
@@ -200,7 +222,7 @@ class GroupCtx
         record(scratchBase + l.offset + i * sizeof(T), sizeof(T),
                MemSpace::Scratchpad, lane, false, false);
         T v;
-        std::memcpy(&v, arena.data() + l.offset + i * sizeof(T), sizeof(T));
+        std::memcpy(&v, arenaData + l.offset + i * sizeof(T), sizeof(T));
         return v;
     }
 
@@ -211,7 +233,7 @@ class GroupCtx
         checkLocal(l, i);
         record(scratchBase + l.offset + i * sizeof(T), sizeof(T),
                MemSpace::Scratchpad, lane, true, false);
-        std::memcpy(arena.data() + l.offset + i * sizeof(T), &v, sizeof(T));
+        std::memcpy(arenaData + l.offset + i * sizeof(T), &v, sizeof(T));
     }
     /// @}
 
@@ -251,9 +273,11 @@ class GroupCtx
     std::uint32_t groupSz;
     std::uint64_t waf;
     WorkGroupTrace *rec;
-    std::vector<std::uint32_t> laneSeq;
-    std::vector<std::uint32_t> laneBranchSeq;
-    std::vector<char> arena;
+    std::size_t depth;               ///< this context's frame in rec
+    std::uint32_t *laneSeq;          ///< per-lane access seq (frame)
+    std::uint32_t *laneBranchSeq;    ///< per-lane branch seq (frame)
+    char *arenaData = nullptr;       ///< frame arena, after allocLocal
+    std::uint64_t arenaBytes = 0;
 };
 
 template <typename T>

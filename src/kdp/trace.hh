@@ -11,8 +11,12 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
+
+#include "support/logging.hh"
 
 #include "mem_space.hh"
 
@@ -40,6 +44,74 @@ struct BranchEvent
 };
 
 /**
+ * Storage a GroupCtx borrows from the trace it records into: its
+ * per-lane access and branch sequence counters and its scratchpad
+ * arena.  One frame per live context, kept as a stack: a fused launch
+ * runs each member group on a context nested in the physical group's
+ * (GroupCtx::rebased), and the nested frame leaves its parent's
+ * counters and arena untouched.  Frames keep their capacity from group
+ * to group, so a steady-state work-group allocates nothing.
+ *
+ * The frames are scratch, not part of the recording: a copied or moved
+ * trace starts without any, and assigning a trace leaves the target's
+ * frames as they were.
+ */
+class ContextFrames
+{
+  public:
+    /** One context's storage. */
+    struct Frame
+    {
+        /** Access seqs of lane l at [l], branch seqs at [size + l]. */
+        std::vector<std::uint32_t> seqs;
+        /** Scratchpad bytes, zero-filled as they are allocated. */
+        std::vector<char> arena;
+    };
+
+    ContextFrames() = default;
+    ContextFrames(const ContextFrames &) noexcept {}
+    ContextFrames &operator=(const ContextFrames &) noexcept { return *this; }
+
+    /**
+     * Open a frame for a context of @p group_size lanes: every
+     * counter 0, arena empty.  Returns its depth.
+     */
+    std::size_t
+    push(std::uint32_t group_size)
+    {
+        if (live == frames.size())
+            frames.emplace_back();
+        Frame &f = frames[live];
+        f.seqs.assign(2 * std::size_t{group_size}, 0);
+        f.arena.clear();
+        return live++;
+    }
+
+    /** Close the frame at @p depth, which must be the innermost. */
+    void
+    pop(std::size_t depth)
+    {
+        if (depth + 1 != live)
+            support::panic("GroupCtx closed out of nesting order "
+                           "(depth %zu of %zu)", depth, live);
+        --live;
+    }
+
+    /**
+     * The frame at @p depth.  Its vectors' buffers stay put while
+     * deeper frames open (a moved vector keeps its buffer).
+     */
+    Frame &at(std::size_t depth) { return frames[depth]; }
+
+  private:
+    static_assert(std::is_nothrow_move_constructible_v<Frame>,
+                  "GroupCtx keeps pointers into frames across growth");
+
+    std::vector<Frame> frames;
+    std::size_t live = 0;
+};
+
+/**
  * Everything recorded while one work-group of one kernel variant
  * executed.
  */
@@ -59,6 +131,9 @@ struct WorkGroupTrace
 
     /** Bytes of scratchpad allocated by the group. */
     std::uint64_t scratchBytes = 0;
+
+    /** Counters and arenas of the contexts recording here. */
+    ContextFrames contexts;
 
     /** Clear all recordings and size lane arrays for @p group_size. */
     void reset(std::uint32_t group_size);

@@ -108,21 +108,30 @@ CpuDevice::startNext(unsigned idx)
         al->stats.firstStamp = std::min(al->stats.firstStamp, start);
     }
 
-    events.scheduleAfter(dur, [this, idx, al, dur, start] {
-        // Mark the core idle before the callbacks run; a finishing
-        // launch may unblock its stream for every idle core, so a
-        // full kick() (not just this core) is required.
-        cores[idx].busy = false;
-        al->done++;
-        al->stats.groups++;
-        al->stats.busyTime += dur;
-        al->stats.lastStamp = std::max(al->stats.lastStamp, now());
-        if (al->launch.onGroupStamp)
-            al->launch.onGroupStamp(start, now());
-        if (al->finished() && al->launch.onComplete)
-            al->launch.onComplete(al->stats);
-        kick();
-    });
+    core.task = std::move(al);
+    core.taskStart = start;
+    core.taskDur = dur;
+    events.scheduleAfter(dur, [this, idx] { finishTask(idx); });
+}
+
+void
+CpuDevice::finishTask(unsigned idx)
+{
+    // Mark the core idle before the callbacks run; a finishing
+    // launch may unblock its stream for every idle core, so a full
+    // kick() (not just this core) is required.
+    Core &core = cores[idx];
+    core.busy = false;
+    const LaunchPtr al = std::move(core.task);
+    al->done++;
+    al->stats.groups++;
+    al->stats.busyTime += core.taskDur;
+    al->stats.lastStamp = std::max(al->stats.lastStamp, now());
+    if (al->launch.onGroupStamp)
+        al->launch.onGroupStamp(core.taskStart, now());
+    if (al->finished() && al->launch.onComplete)
+        al->launch.onComplete(al->stats);
+    kick();
 }
 
 TimeNs

@@ -87,6 +87,12 @@ class CpuDevice : public Device
     {
         CpuCoreState caches;
         bool busy = false;
+        /** The task in flight while busy: its launch, start, duration.
+         *  The completion event reads it, so it captures only the
+         *  core index. */
+        LaunchPtr task;
+        TimeNs taskStart = 0;
+        TimeNs taskDur = 0;
 
         explicit Core(const CpuConfig &cfg)
             : caches(cfg.l1, cfg.l2)
@@ -98,6 +104,9 @@ class CpuDevice : public Device
 
     /** Try to start the next task on core @p idx. */
     void startNext(unsigned idx);
+
+    /** Completion event of the task in flight on core @p idx. */
+    void finishTask(unsigned idx);
 
     /** Execute one work-group and return its duration. */
     TimeNs runGroup(Core &core, const ActiveLaunch &al, std::uint64_t grid);

@@ -13,7 +13,8 @@ namespace dysel {
 namespace sim {
 
 GpuDevice::GpuDevice(const GpuConfig &cfg)
-    : config(cfg), l2(cfg.l2), rng(cfg.seed)
+    : config(cfg), l2(cfg.l2),
+      debugBlocks(std::getenv("DYSEL_GPU_DEBUG") != nullptr), rng(cfg.seed)
 {
     if (cfg.sms == 0)
         throw std::invalid_argument("GpuDevice needs at least one SM");
@@ -145,12 +146,12 @@ GpuDevice::kick()
         }
         if (best < 0)
             return;
-        place(static_cast<unsigned>(best), al);
+        place(static_cast<unsigned>(best), std::move(al));
     }
 }
 
 void
-GpuDevice::place(unsigned idx, const LaunchPtr &al)
+GpuDevice::place(unsigned idx, LaunchPtr al)
 {
     Sm &sm = sms[idx];
     const kdp::KernelVariant &variant = *al->launch.variant;
@@ -184,7 +185,7 @@ GpuDevice::place(unsigned idx, const LaunchPtr &al)
     const double resident = static_cast<double>(sm.blocks);
     const double cycles = cost.throughputCycles * resident
                           + cost.latencyCycles / resident;
-    if (std::getenv("DYSEL_GPU_DEBUG")) {
+    if (debugBlocks) {
         std::fprintf(stderr,
                      "[gpu] t=%llu %s grid=%llu r=%.0f T=%.0fcy L=%.0fcy "
                      "dur=%.0fus\n",
@@ -206,26 +207,48 @@ GpuDevice::place(unsigned idx, const LaunchPtr &al)
         al->stats.firstStamp = std::min(al->stats.firstStamp, start);
     }
 
-    events.scheduleAfter(dur, [this, idx, al, fp, dur, start] {
-        Sm &host_sm = sms[idx];
-        host_sm.blocks--;
-        host_sm.threadsUsed -= fp.threads;
-        host_sm.scratchUsed -= fp.scratch;
-        host_sm.regsUsed -= fp.regs;
-        --residentBlocks;
-        if (al->launch.exclusive)
-            --residentExclusive;
+    unsigned slot;
+    if (freeResidents.empty()) {
+        slot = static_cast<unsigned>(residents.size());
+        residents.emplace_back();
+    } else {
+        slot = freeResidents.back();
+        freeResidents.pop_back();
+    }
+    residents[slot] = Resident{std::move(al), fp, start, dur, idx};
+    events.scheduleAfter(dur, [this, slot] { retire(slot); });
+}
 
-        al->done++;
-        al->stats.groups++;
-        al->stats.busyTime += dur;
-        al->stats.lastStamp = std::max(al->stats.lastStamp, now());
-        if (al->launch.onGroupStamp)
-            al->launch.onGroupStamp(start, now());
-        if (al->finished() && al->launch.onComplete)
-            al->launch.onComplete(al->stats);
-        kick();
-    });
+void
+GpuDevice::retire(unsigned slot)
+{
+    // Take everything out of the slot and free it first: kick() below
+    // may place new blocks, which reuse or add slots.
+    Resident &r = residents[slot];
+    const LaunchPtr al = std::move(r.launch);
+    const Footprint fp = r.fp;
+    const TimeNs start = r.start;
+    const TimeNs dur = r.dur;
+    Sm &host_sm = sms[r.sm];
+    freeResidents.push_back(slot);
+
+    host_sm.blocks--;
+    host_sm.threadsUsed -= fp.threads;
+    host_sm.scratchUsed -= fp.scratch;
+    host_sm.regsUsed -= fp.regs;
+    --residentBlocks;
+    if (al->launch.exclusive)
+        --residentExclusive;
+
+    al->done++;
+    al->stats.groups++;
+    al->stats.busyTime += dur;
+    al->stats.lastStamp = std::max(al->stats.lastStamp, now());
+    if (al->launch.onGroupStamp)
+        al->launch.onGroupStamp(start, now());
+    if (al->finished() && al->launch.onComplete)
+        al->launch.onComplete(al->stats);
+    kick();
 }
 
 TimeNs

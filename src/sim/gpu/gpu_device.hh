@@ -109,6 +109,16 @@ class GpuDevice : public Device
         std::uint64_t regs;
     };
 
+    /** A resident block in flight: what its completion event needs. */
+    struct Resident
+    {
+        LaunchPtr launch;
+        Footprint fp{};
+        TimeNs start = 0;
+        TimeNs dur = 0;
+        unsigned sm = 0;
+    };
+
     Footprint footprintOf(const kdp::KernelVariant &variant) const;
     bool fits(const Sm &sm, const Footprint &fp) const;
 
@@ -116,7 +126,10 @@ class GpuDevice : public Device
     void kick();
 
     /** Run one work-group on SM @p idx. */
-    void place(unsigned idx, const LaunchPtr &al);
+    void place(unsigned idx, LaunchPtr al);
+
+    /** Completion event of the resident block in slot @p slot. */
+    void retire(unsigned slot);
 
     TimeNs addNoise(TimeNs d);
 
@@ -127,6 +140,12 @@ class GpuDevice : public Device
     std::uint64_t residentBlocks = 0;
     std::uint64_t residentExclusive = 0;
     LaunchPtr exclusiveOwner;
+    /** Resident-block slots; completion events capture a slot index.
+     *  Grown to the peak resident count, then reused. */
+    std::vector<Resident> residents;
+    std::vector<unsigned> freeResidents;
+    /** DYSEL_GPU_DEBUG was set at construction: log every block. */
+    bool debugBlocks = false;
     kdp::WorkGroupTrace traceBuf;
     support::Rng rng;
     std::uint64_t nGroups = 0;

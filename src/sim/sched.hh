@@ -9,10 +9,11 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "launch.hh"
 #include "time.hh"
@@ -45,6 +46,11 @@ using LaunchPtr = std::shared_ptr<ActiveLaunch>;
 
 /**
  * Priority/stream-aware dispatch queue.
+ *
+ * Streams live in one flat array sorted by stream id, each with its
+ * pending launches (a vector drained from a head index) and the tick
+ * it was last served at, so a pick is one linear scan with no tree
+ * walk and, in steady state, no allocation.
  */
 class DispatchQueue
 {
@@ -54,7 +60,16 @@ class DispatchQueue
     add(const LaunchPtr &lp)
     {
         lp->submitSeq = nextSeq++;
-        streams[lp->launch.stream].push_back(lp);
+        Stream &s = streamFor(lp->launch.stream);
+        // Drop retired launches once they are the larger part, so a
+        // stream that never quite drains stays bounded.
+        if (s.head * 2 >= s.pending.size()) {
+            s.pending.erase(s.pending.begin(),
+                            s.pending.begin()
+                                + static_cast<std::ptrdiff_t>(s.head));
+            s.head = 0;
+        }
+        s.pending.push_back(lp);
     }
 
     /**
@@ -63,42 +78,66 @@ class DispatchQueue
      * Equal-priority streams are served round-robin, which is how
      * concurrent CUDA streams interleave blocks; without it the
      * first-registered variant would be profiled at systematically
-     * lower SM residency than the others.
+     * lower SM residency than the others.  Ties go to the stream
+     * with the lowest id.
      */
     LaunchPtr
     pick()
     {
-        LaunchPtr best;
-        int best_stream = 0;
-        for (auto &[stream, queue] : streams) {
+        Stream *best = nullptr;
+        for (Stream &s : streams) {
             // Retire completed launches from the stream head so the
             // next launch in the stream becomes dispatchable.
-            while (!queue.empty() && queue.front()->finished())
-                queue.pop_front();
-            if (queue.empty())
+            while (s.head < s.pending.size()
+                   && s.pending[s.head]->finished())
+                s.pending[s.head++].reset();
+            if (s.head == s.pending.size())
                 continue;
-            const LaunchPtr &head = queue.front();
-            if (head->allIssued())
+            const ActiveLaunch &head = *s.pending[s.head];
+            if (head.allIssued())
                 continue;
             if (!best
-                || head->launch.priority > best->launch.priority
-                || (head->launch.priority == best->launch.priority
-                    && servedTick[stream] < servedTick[best_stream])) {
-                best = head;
-                best_stream = stream;
-            }
+                || head.launch.priority > best->front().launch.priority
+                || (head.launch.priority == best->front().launch.priority
+                    && s.servedTick < best->servedTick))
+                best = &s;
         }
-        if (best)
-            servedTick[best_stream] = ++tick;
-        return best;
+        if (!best)
+            return nullptr;
+        best->servedTick = ++tick;
+        return best->pending[best->head];
     }
 
     /** True when no launch has unissued groups. */
     bool drained() { return pick() == nullptr; }
 
   private:
-    std::map<int, std::deque<LaunchPtr>> streams;
-    std::map<int, std::uint64_t> servedTick;
+    struct Stream
+    {
+        int id = 0;
+        /** Launches in submission order; [0, head) are retired. */
+        std::vector<LaunchPtr> pending;
+        std::size_t head = 0;
+        /** Tick of the last pick from this stream (0: never). */
+        std::uint64_t servedTick = 0;
+
+        const ActiveLaunch &front() const { return *pending[head]; }
+    };
+
+    Stream &
+    streamFor(int id)
+    {
+        auto it = std::lower_bound(
+            streams.begin(), streams.end(), id,
+            [](const Stream &s, int key) { return s.id < key; });
+        if (it == streams.end() || it->id != id) {
+            it = streams.insert(it, Stream());
+            it->id = id;
+        }
+        return *it;
+    }
+
+    std::vector<Stream> streams;
     std::uint64_t nextSeq = 0;
     std::uint64_t tick = 0;
 };

@@ -253,7 +253,7 @@ class Parser
     Json
     run()
     {
-        Json v = value();
+        Json v = value(0);
         skipWs();
         if (pos != s.size())
             fail("trailing characters");
@@ -303,15 +303,16 @@ class Parser
         return false;
     }
 
+    /** A value nested in @p depth arrays and objects. */
     Json
-    value()
+    value(int depth)
     {
         skipWs();
         const char c = peek();
         if (c == '{')
-            return object();
+            return object(depth + 1);
         if (c == '[')
-            return array();
+            return array(depth + 1);
         if (c == '"')
             return Json(string());
         if (consume("true"))
@@ -323,9 +324,18 @@ class Parser
         return number();
     }
 
-    Json
-    object()
+    /** Fail at the opening bracket of a container nested too deep. */
+    void
+    checkDepth(int depth)
     {
+        if (depth > Json::kMaxParseDepth)
+            fail("nesting too deep");
+    }
+
+    Json
+    object(int depth)
+    {
+        checkDepth(depth);
         expect('{');
         Json obj = Json::object();
         skipWs();
@@ -338,7 +348,7 @@ class Parser
             std::string key = string();
             skipWs();
             expect(':');
-            obj.set(key, value());
+            obj.set(key, value(depth));
             skipWs();
             if (peek() == ',') {
                 ++pos;
@@ -350,8 +360,9 @@ class Parser
     }
 
     Json
-    array()
+    array(int depth)
     {
+        checkDepth(depth);
         expect('[');
         Json arr = Json::array();
         skipWs();
@@ -360,7 +371,7 @@ class Parser
             return arr;
         }
         for (;;) {
-            arr.push(value());
+            arr.push(value(depth));
             skipWs();
             if (peek() == ',') {
                 ++pos;

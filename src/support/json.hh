@@ -82,6 +82,13 @@ class Json
     std::string dump(int indent = 0) const;
 
     /**
+     * Deepest nesting of arrays and objects parse() accepts.  Deeper
+     * input fails like malformed input, before the recursive descent
+     * can run out of stack.
+     */
+    static constexpr int kMaxParseDepth = 512;
+
+    /**
      * Parse JSON text.  Throws std::runtime_error with a character
      * offset on malformed input.
      */

@@ -211,6 +211,70 @@ TEST(GroupCtx, ScratchpadAllocationAndAccess)
     EXPECT_EQ(t.barriers, 1u);
 }
 
+TEST(GroupCtx, RebasedContextRestartsSequencesPerLane)
+{
+    Buffer<float> buf(64, MemSpace::Global, "b");
+    WorkGroupTrace t;
+    t.reset(4);
+    GroupCtx g(5, 4, 1, &t);
+    for (std::uint32_t lane = 0; lane < 4; ++lane) {
+        g.load(buf, lane, lane);
+        g.load(buf, 4 + lane, lane);
+        g.branch(lane, true);
+    }
+    auto outer = g.allocLocal<float>(4);
+    outer.set(g, 1, 7.0f, 1);
+    const std::size_t before = t.accesses.size();
+    const std::size_t branches_before = t.branches.size();
+    {
+        GroupCtx local = g.rebased(2);
+        EXPECT_EQ(local.group(), 2u);
+        EXPECT_EQ(local.unitBase(), 2u);
+        EXPECT_EQ(local.scratchBytes(), 0u);
+        auto inner = local.allocLocal<float>(4);
+        for (std::uint32_t lane = 0; lane < 4; ++lane) {
+            EXPECT_EQ(inner.get(local, lane, lane), 0.0f);
+            inner.set(local, lane, 3.0f, lane);
+            local.branch(lane, false);
+            local.branch(lane, true);
+        }
+        for (std::uint32_t lane = 0; lane < 4; ++lane) {
+            const MemAccess &get = t.accesses[before + 2 * lane];
+            const MemAccess &set = t.accesses[before + 2 * lane + 1];
+            EXPECT_EQ(get.lane, lane);
+            EXPECT_EQ(get.seq, 0u) << "lane " << lane;
+            EXPECT_EQ(set.seq, 1u) << "lane " << lane;
+            EXPECT_EQ(t.branches[branches_before + 2 * lane].seq, 0u);
+            EXPECT_EQ(t.branches[branches_before + 2 * lane + 1].seq, 1u);
+        }
+        // A second rebased context starts from zero again.
+        GroupCtx again = g.rebased(3);
+        again.load(buf, 0, 3);
+        EXPECT_EQ(t.accesses.back().seq, 0u);
+        auto fresh = again.allocLocal<float>(4);
+        EXPECT_EQ(fresh.get(again, 0, 0), 0.0f);
+    }
+    {
+        // A context reusing a closed nested context's storage starts
+        // from zero too, with a zero-filled scratchpad.
+        GroupCtx reused = g.rebased(4);
+        EXPECT_EQ(reused.scratchBytes(), 0u);
+        reused.load(buf, 0, 3);
+        EXPECT_EQ(t.accesses.back().seq, 0u);
+        reused.branch(0, true);
+        EXPECT_EQ(t.branches.back().seq, 0u);
+        auto fresh = reused.allocLocal<float>(4);
+        EXPECT_EQ(fresh.get(reused, 2, 0), 0.0f);
+    }
+    // The parent's counters and scratchpad survive the nested contexts.
+    g.load(buf, 8, 1);
+    EXPECT_EQ(t.accesses.back().seq, 3u);
+    g.branch(2, true);
+    EXPECT_EQ(t.branches.back().seq, 1u);
+    EXPECT_EQ(outer.get(g, 1, 1), 7.0f);
+    EXPECT_EQ(g.scratchBytes(), 16u);
+}
+
 TEST(GroupCtxDeath, LaneOutOfRange)
 {
     Buffer<float> buf(4, MemSpace::Global, "b");

@@ -12,18 +12,26 @@
  * that moves virtual time on purpose updates the goldens and says so;
  * every run prints its golden line in the table's format.
  *
+ * One more row pins Runtime::launchFused: eight members of a tiny
+ * vector kernel packed eight member groups to a physical group, each
+ * member group on a rebased context whose per-lane sequence numbers
+ * restart at 0, on a fresh CPU device.
+ *
  * Device addresses come from one process-wide counter, so a run's
  * virtual time depends on every buffer allocated before it.  The rows
- * therefore run in one test, in a fixed order, and nothing else in
- * this binary allocates device buffers.
+ * therefore run in one test, in a fixed order (the fused row last),
+ * and nothing else in this binary allocates device buffers.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "dysel/runtime.hh"
+#include "kdp/context.hh"
 #include "workloads/devices.hh"
 #include "workloads/evaluate.hh"
 #include "workloads/particlefilter.hh"
@@ -93,6 +101,96 @@ const std::vector<Golden> goldens = {
     {"gpu:sgemm(mixed)", Orchestration::Async, "base", 32536},
 };
 
+/** The fused row's golden virtual ns, captured before kdp::GroupCtx
+ *  took its lane counters from the trace. */
+constexpr sim::TimeNs kFusedGoldenNs = 6254;
+
+/** Member count and per-member units of the fused row. */
+constexpr std::size_t kFusedMembers = 8;
+
+std::uint64_t
+fusedUnits(std::size_t member)
+{
+    return 20 + 3 * member;
+}
+
+/**
+ * The fused row's kernel: one unit per 8-lane group (pack 8), 4-wide
+ * vector traits, so the replay merges ops by (lane / 4, seq).  Per
+ * lane it loads, branches, round-trips a zero-filled scratchpad slot,
+ * and stores.  Arguments: (in, out, units).
+ */
+kdp::KernelVariant
+fusedKernel()
+{
+    kdp::KernelVariant v;
+    v.name = "fused-vec4";
+    v.groupSize = 8;
+    v.waFactor = 1;
+    v.traits.vectorWidth = 4;
+    v.traits.scratchBytes = 8 * sizeof(float);
+    v.fn = [](kdp::GroupCtx &g, const kdp::KernelArgs &a) {
+        const auto &in = a.buf<float>(0);
+        auto &out = a.buf<float>(1);
+        const auto units = static_cast<std::uint64_t>(a.scalarInt(2));
+        const std::uint64_t u = g.unitBase();
+        if (u >= units)
+            return;
+        const kdp::Local<float> tile = g.allocLocal<float>(8);
+        for (std::uint32_t lane = 0; lane < 8; ++lane) {
+            const std::uint64_t i = u * 8 + lane;
+            const float x = g.load(in, i, lane);
+            g.branch(lane, i % 3 == 0);
+            g.flops(lane, 2);
+            tile.set(g, lane, tile.get(g, lane, lane) + x, lane);
+        }
+        for (std::uint32_t lane = 0; lane < 8; ++lane) {
+            const std::uint64_t i = u * 8 + lane;
+            g.store(out, i, 2.0f * tile.get(g, 7 - lane, lane) + 1.0f,
+                    lane);
+        }
+    };
+    return v;
+}
+
+/** Run the fused row; returns the launch's virtual ns. */
+sim::TimeNs
+runFusedRow(bool &outputs_ok)
+{
+    std::unique_ptr<sim::Device> dev = workloads::cpuFactory()();
+    runtime::Runtime rt(*dev);
+    rt.addKernel("drift-fused", fusedKernel());
+
+    std::vector<std::unique_ptr<kdp::Buffer<float>>> ins, outs;
+    std::vector<kdp::KernelArgs> args(kFusedMembers);
+    std::vector<runtime::FusedSlice> slices;
+    for (std::size_t m = 0; m < kFusedMembers; ++m) {
+        const std::uint64_t n = fusedUnits(m) * 8;
+        ins.push_back(std::make_unique<kdp::Buffer<float>>(
+            n, kdp::MemSpace::Global, "in"));
+        outs.push_back(std::make_unique<kdp::Buffer<float>>(
+            n, kdp::MemSpace::Global, "out"));
+        for (std::uint64_t i = 0; i < n; ++i)
+            ins[m]->at(i) = static_cast<float>(i % 13 + m);
+        args[m].add(*ins[m]);
+        args[m].add(*outs[m]);
+        args[m].add(static_cast<std::int64_t>(fusedUnits(m)));
+        slices.push_back({&args[m], fusedUnits(m), 0});
+    }
+
+    runtime::LaunchReport report;
+    const support::Status st = rt.launchFused(
+        "drift-fused", 0, slices, runtime::LaunchOptions(), report);
+    outputs_ok = st.ok();
+    for (std::size_t m = 0; m < kFusedMembers && outputs_ok; ++m)
+        for (std::uint64_t i = 0; i < fusedUnits(m) * 8; ++i) {
+            const std::uint64_t src = (i / 8) * 8 + (7 - i % 8);
+            if (outs[m]->at(i) != 2.0f * ins[m]->at(src) + 1.0f)
+                outputs_ok = false;
+        }
+    return report.elapsed();
+}
+
 const char *
 orchName(Orchestration o)
 {
@@ -129,4 +227,11 @@ TEST(SimDrift, VirtualTimeMatchesGoldens)
         }
     }
     EXPECT_EQ(next, goldens.size());
+
+    bool fused_ok = false;
+    const sim::TimeNs fused_ns = runFusedRow(fused_ok);
+    std::printf("    fused row: %llu virtual ns\n",
+                static_cast<unsigned long long>(fused_ns));
+    EXPECT_TRUE(fused_ok);
+    EXPECT_EQ(fused_ns, kFusedGoldenNs);
 }

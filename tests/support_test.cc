@@ -245,6 +245,47 @@ TEST(Json, ParseErrorsCarryOffsets)
     }
 }
 
+TEST(Json, NestingAtTheCapParses)
+{
+    const int cap = Json::kMaxParseDepth;
+    EXPECT_TRUE(Json::parse(std::string(cap, '[') + std::string(cap, ']'))
+                    .isArray());
+    std::string objects;
+    for (int i = 0; i < cap - 1; ++i)
+        objects += "{\"k\":";
+    objects += "[1]" + std::string(cap - 1, '}');
+    EXPECT_TRUE(Json::parse(objects).isObject());
+}
+
+TEST(Json, NestingPastTheCapFailsAtItsOffset)
+{
+    const int cap = Json::kMaxParseDepth;
+    std::string objects;
+    for (int i = 0; i < 100000; ++i)
+        objects += "{\"k\":";
+    const struct
+    {
+        std::string text;
+        std::size_t offset;   ///< where the (cap + 1)-th level opens
+    } cases[] = {
+        {std::string(cap + 1, '[') + std::string(cap + 1, ']'),
+         std::size_t(cap)},
+        {std::string(100000, '['), std::size_t(cap)},
+        {objects, std::size_t(cap) * 5},
+    };
+    for (const auto &c : cases) {
+        try {
+            Json::parse(c.text);
+            FAIL() << "expected a parse error for " << c.text.size()
+                   << " bytes";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "json: nesting too deep at offset "
+                          + std::to_string(c.offset));
+        }
+    }
+}
+
 TEST(Metrics, CountersAccumulateAcrossThreads)
 {
     MetricsRegistry reg;
